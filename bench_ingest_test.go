@@ -19,9 +19,8 @@ import (
 
 // benchBurstyEvents generates the loop-dominated stream real traces look
 // like: bursts of one branch (geometric, mean ~meanBurst) over a small
-// working set, so consecutive events usually hit the same shard and often
-// the same branch — the case batch grouping and the last-entry cache
-// amortize.
+// working set, so consecutive events usually hit the same branch — the case
+// the batch path's last-slot cache amortizes.
 func benchBurstyEvents(n, nbranch, meanBurst int) []trace.Event {
 	evs := make([]trace.Event, 0, n)
 	x := uint64(0x9e3779b97f4a7c15)
@@ -47,16 +46,13 @@ func benchBurstyEvents(n, nbranch, meanBurst int) []trace.Event {
 	return evs
 }
 
-const (
-	benchIngestEvents = 1 << 15
-	benchIngestShards = 4
-)
+const benchIngestEvents = 1 << 15
 
-// BenchmarkTableApply is the per-event baseline: one shard lock acquisition
-// and one map lookup per event.
+// BenchmarkTableApply is the per-event baseline: one partition lookup, one
+// lock acquisition and one slot lookup per event.
 func BenchmarkTableApply(b *testing.B) {
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
+	t := server.NewTable(core.DefaultParams().Scaled(10))
 	var instr uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -69,12 +65,12 @@ func BenchmarkTableApply(b *testing.B) {
 	b.ReportMetric(float64(len(evs)), "events/op")
 }
 
-// BenchmarkTableApplyBatch is the batch-grouped path over the identical
-// stream: one lock acquisition per same-shard run, map lookups skipped for
+// BenchmarkTableApplyBatch is the batch path over the identical stream: one
+// partition lookup and lock acquisition per batch, slot lookups skipped for
 // repeated branches.
 func BenchmarkTableApplyBatch(b *testing.B) {
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
+	t := server.NewTable(core.DefaultParams().Scaled(10))
 	var instr uint64
 	dst := make([]byte, 0, len(evs))
 	b.ReportAllocs()
@@ -89,14 +85,14 @@ func BenchmarkTableApplyBatch(b *testing.B) {
 }
 
 // BenchmarkTableApplyBatchKind is the kind-generic serving path over the
-// identical stream: same batch grouping, but the events enter as a
+// identical stream: same batch path, but the events enter as a
 // non-branch kind, so every apply pays the kind-program key encoding the
 // v2 API threads through the table. scripts/bench.sh gates this row
 // against BenchmarkTableApplyBatch: generalizing the hot path over kinds
 // must cost at most a few percent versus branch-only.
 func BenchmarkTableApplyBatchKind(b *testing.B) {
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
+	t := server.NewTable(core.DefaultParams().Scaled(10))
 	var instr uint64
 	dst := make([]byte, 0, len(evs))
 	b.ReportAllocs()
@@ -123,7 +119,7 @@ func (w *discardResponseWriter) WriteHeader(int)             {}
 // Allocations per op are the tracked number: the pooled scratch should hold
 // them near-constant in batch size.
 func BenchmarkIngestHandler(b *testing.B) {
-	s := server.New(server.Config{Params: core.DefaultParams().Scaled(10), Shards: benchIngestShards})
+	s := server.New(server.Config{Params: core.DefaultParams().Scaled(10)})
 	h := s.Handler()
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
 	body := trace.AppendFrame(nil, evs)

@@ -298,11 +298,11 @@ func BenchmarkValueController(b *testing.B) {
 	}
 }
 
-// --- Sharded controller-table benchmarks (the reactived substrate) ---
+// --- Controller-table benchmarks (the reactived substrate) ---
 
-// serialTable is the unsharded baseline the lock-striped table replaces: a
-// single mutex in front of a single controller map. Same decision semantics,
-// no concurrency.
+// serialTable is the baseline the partitioned table replaces: a single mutex
+// in front of one controller per (program, branch) key. Same decision
+// semantics, no concurrency.
 type serialTable struct {
 	mu      sync.Mutex
 	params  core.Params
@@ -385,31 +385,20 @@ func benchTableParallel(b *testing.B, apply func(string, trace.Event, uint64),
 	})
 }
 
-// benchShardedTable benchmarks the lock-striped table at a given stripe
-// count; compare against BenchmarkTableBaseline* for the striping win.
-func benchShardedTable(b *testing.B, shards int, writeFrac float64) {
-	t := server.NewTable(core.DefaultParams().Scaled(10), shards)
+// benchPartitionedTable benchmarks the serving table, one partition per
+// worker program; compare against BenchmarkTableBaseline* for the win over
+// one global lock.
+func benchPartitionedTable(b *testing.B, writeFrac float64) {
+	t := server.NewTable(core.DefaultParams().Scaled(10))
 	benchTableParallel(b,
 		func(p string, ev trace.Event, instr uint64) { t.Apply(p, ev, instr) },
 		func(p string, id trace.BranchID) { t.Decide(p, id) },
 		writeFrac)
 }
 
-func BenchmarkTableWriteHeavy(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedTable(b, shards, 1.0)
-		})
-	}
-}
+func BenchmarkTableWriteHeavy(b *testing.B) { benchPartitionedTable(b, 1.0) }
 
-func BenchmarkTableReadHeavy(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedTable(b, shards, 0.05)
-		})
-	}
-}
+func BenchmarkTableReadHeavy(b *testing.B) { benchPartitionedTable(b, 0.05) }
 
 func BenchmarkTableBaselineWriteHeavy(b *testing.B) {
 	t := newSerialTable(core.DefaultParams().Scaled(10))

@@ -1,8 +1,8 @@
 // Command reactived is the networked speculation-control daemon: it hosts a
-// sharded table of reactive controllers (internal/server), ingests batches
-// of branch-outcome events over HTTP in the internal/trace frame format,
-// serves classification decisions back, snapshots table state to disk with
-// atomic rename, and restores it on start.
+// table of reactive controllers, one per program (internal/server), ingests
+// batches of branch-outcome events over HTTP in the internal/trace frame
+// format, serves classification decisions back, snapshots table state to
+// disk with atomic rename, and restores it on start.
 //
 // Usage:
 //
@@ -19,7 +19,6 @@
 //	                      a stale socket file from a crashed daemon is removed if
 //	                      nothing is listening, and the file is unlinked on shutdown)
 //	-stream-unix-file f   write the stream socket target (unix://p) to f once listening
-//	-shards n             lock-stripe count for the controller table (default 16)
 //	-param-scale k        divide the paper's Table 2 parameters by k (default 10)
 //	-policy p             speculation policy every table entry runs: reactive
 //	                      (the paper's FSM, default), selftrain (classify once
@@ -160,16 +159,12 @@ func publishExpvars() {
 		if s == nil {
 			return nil
 		}
-		var total server.ShardMetrics
-		for _, m := range s.Table().Metrics() {
-			total.Add(m)
-		}
+		total := s.Table().Metrics()
 		v := map[string]any{
 			"events":       total.Events,
 			"instructions": total.Instrs,
 			"misspec_rate": total.MisspecRate(),
 			"entries":      total.Entries,
-			"shards":       s.Table().Shards(),
 			"draining":     s.Draining(),
 			"mode":         s.Mode(),
 		}
@@ -231,7 +226,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"also accept streaming ingest sessions on a unix-domain socket at this path")
 	streamUnixFile := fs.String("stream-unix-file", "",
 		"write the stream socket target (unix://path) to this file once listening")
-	shards := fs.Int("shards", 16, "lock-stripe count for the controller table")
 	paramScale := fs.Uint64("param-scale", 10, "divide the paper's Table 2 parameters by this factor")
 	policyFlag := fs.String("policy", core.PolicyReactive,
 		"speculation policy every table entry runs: "+strings.Join(core.PolicyNames(), ", "))
@@ -351,7 +345,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Params:      params,
 		Policy:      *policyFlag,
 		Kinds:       kinds,
-		Shards:      *shards,
 		SnapshotDir: *snapshotDir,
 		WAL:         wlog,
 		Replica:     *replicaOf != "",
@@ -429,8 +422,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("writing -addr-file: %w", err)
 		}
 	}
-	logf("listening on %s (%d shards, param scale 1/%d, policy %s, kinds %s)",
-		bound, *shards, *paramScale, s.Table().Policy(), strings.Join(s.KindNames(), ","))
+	logf("listening on %s (param scale 1/%d, policy %s, kinds %s)",
+		bound, *paramScale, s.Table().Policy(), strings.Join(s.KindNames(), ","))
 
 	hs := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)

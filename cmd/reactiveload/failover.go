@@ -29,6 +29,10 @@ type FailoverReport struct {
 	PromotedWalSeq  uint64 `json:"promoted_wal_seq"`
 	WorkersResumed  int    `json:"workers_resumed"`
 	ResentEvents    uint64 `json:"resent_events"`
+	// AckLostEvents counts events the primary applied and shipped whose
+	// acks died with it: the replica holds them, so they are not re-sent,
+	// and they are verified by the unit states they left behind.
+	AckLostEvents uint64 `json:"ack_lost_events,omitempty"`
 }
 
 // failoverCtl coordinates the crash and the promotion across workers: it
@@ -58,6 +62,7 @@ type failoverCtl struct {
 
 	resumed atomic.Uint64 // workers that failed over to the follower
 	resent  atomic.Uint64 // events re-sent to the follower after promotion
+	ackLost atomic.Uint64 // events the follower held whose acks were lost
 }
 
 func newFailoverCtl(follower *server.Client, pid int, after uint64) *failoverCtl {
@@ -129,6 +134,41 @@ func (fc *failoverCtl) await(ctx context.Context) error {
 		}
 	})
 	return fc.promoteErr
+}
+
+// checkUnitStates compares, for every unit in touched, the daemon's current
+// decision (GET /v1/decide) with the mirror's after it observes applied.
+func checkUnitStates(ctx context.Context, cl *server.Client, cfg workerConfig, applied, touched []trace.Event) error {
+	set, err := core.NewPolicySet(cfg.policy, cfg.params)
+	if err != nil {
+		return err
+	}
+	var instr uint64
+	for _, ev := range applied {
+		instr += uint64(ev.Gap)
+		set.OnEvent(ev.Branch, ev.Taken, instr)
+	}
+	seen := map[trace.BranchID]bool{}
+	for _, ev := range touched {
+		if seen[ev.Branch] {
+			continue
+		}
+		seen[ev.Branch] = true
+		got, err := cl.Decide(ctx, cfg.program, ev.Branch)
+		if err != nil {
+			return fmt.Errorf("reading replica unit %d of %s: %w", ev.Branch, cfg.program, err)
+		}
+		dir, live := set.Speculating(ev.Branch)
+		wantDir := "not-taken"
+		if dir {
+			wantDir = "taken"
+		}
+		if st := set.UnitState(ev.Branch).String(); got.State != st || got.Live != live || got.Direction != wantDir {
+			return fmt.Errorf("replica unit %d of %s after %d events: state %s live %v dir %s, in-process %s live %v dir %s",
+				ev.Branch, cfg.program, len(applied), got.State, got.Live, got.Direction, st, live, wantDir)
+		}
+	}
+	return nil
 }
 
 // runFailoverWorker is runWorker for -failover. The event stream and its
@@ -252,6 +292,21 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 		return res
 	}
 	fc.resumed.Add(1)
+	if resume > off {
+		// The primary applied and shipped [off, resume) but died before
+		// acking it. The replica's cursor counts those events, so
+		// re-sending them would apply them twice; their decisions are
+		// gone with the primary. What is left to check is their effect:
+		// every unit they touched must stand exactly where the mirror
+		// puts it after event resume. The stream after resume then
+		// verifies decision by decision from that state.
+		if err := checkUnitStates(ctx, fc.follower, cfg, events[:resume], events[off:resume]); err != nil {
+			res.err = fmt.Errorf("%w (primary lost: %v)", err, lostPrimary)
+			return res
+		}
+		record(off, want[off:resume])
+		fc.ackLost.Add(uint64(resume - off))
+	}
 	fc.resent.Add(uint64(len(events) - resume))
 	for off = resume; off < len(events); {
 		ds, err := sendBatch(fc.follower, off)

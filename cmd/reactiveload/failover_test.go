@@ -2,14 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/replica"
@@ -23,10 +23,14 @@ import (
 type failoverPair struct {
 	primaryURL string
 	replicaURL string
-	kill       func() // crash the primary: HTTP front end, shipper, listener
 }
 
-func startFailoverPair(t *testing.T) *failoverPair {
+// startFailoverPair starts the pair. The primary crashes when its
+// crashAtIngest-th POST /v1/ingest arrives: that request is cut off
+// unanswered and unapplied while the crash runs, so the crash always lands
+// mid-run however fast the run goes, and requests already in flight on
+// other connections race it the way they race a real SIGKILL.
+func startFailoverPair(t *testing.T, crashAtIngest int64) *failoverPair {
 	t.Helper()
 	params := core.DefaultParams().Scaled(10) // reactiveload's default -param-scale
 	hash := server.ParamsHash(params)
@@ -35,8 +39,17 @@ func startFailoverPair(t *testing.T) *failoverPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := server.New(server.Config{Params: params, Shards: 4, WAL: pl})
-	pts := httptest.NewServer(ps.Handler())
+	ps := server.New(server.Config{Params: params, WAL: pl})
+	var ingests atomic.Int64
+	crash := make(chan struct{})
+	primary := ps.Handler()
+	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/ingest" && ingests.Add(1) == crashAtIngest {
+			close(crash)
+			panic(http.ErrAbortHandler)
+		}
+		primary.ServeHTTP(w, r)
+	}))
 	sh := replica.NewShipper(replica.ShipperConfig{Log: pl, Logf: t.Logf})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,7 +61,7 @@ func startFailoverPair(t *testing.T) *failoverPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := server.New(server.Config{Params: params, Shards: 4, WAL: rl, Replica: true, Logf: t.Logf})
+	rs := server.New(server.Config{Params: params, WAL: rl, Replica: true, Logf: t.Logf})
 	rts := httptest.NewServer(rs.Handler())
 	f := replica.StartFollower(replica.FollowerConfig{
 		Addr:       ln.Addr().String(),
@@ -59,6 +72,7 @@ func startFailoverPair(t *testing.T) *failoverPair {
 	})
 	rs.SetSealFunc(f.Seal)
 
+	// kill crashes the primary: HTTP front end, shipper, listener.
 	var killOnce sync.Once
 	kill := func() {
 		killOnce.Do(func() {
@@ -68,38 +82,39 @@ func startFailoverPair(t *testing.T) *failoverPair {
 			ln.Close()
 		})
 	}
+	// Closing the primary waits for its in-flight handlers, the aborted one
+	// included, so the crash runs on its own goroutine; cleanup stops it
+	// when the crash never came and waits for it (killOnce) when it did.
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-crash:
+			kill()
+		case <-done:
+		}
+	}()
 	t.Cleanup(func() {
+		close(done)
 		rts.Close()
 		f.Seal()
 		rl.Close()
 		kill()
 		pl.Close()
 	})
-	return &failoverPair{primaryURL: pts.URL, replicaURL: rts.URL, kill: kill}
+	return &failoverPair{primaryURL: pts.URL, replicaURL: rts.URL}
 }
 
 // TestRunFailover drives -failover end to end in-process, on the external-
 // crash path (-failover-pid 0): the primary dies without drain after a few
 // acked batches, the run promotes the replica, resumes each worker from the
 // replica's cursor, and every decision — pre-crash, re-sent overlap, and
-// post-failover tail — verifies against the absolute-index mirror.
+// post-failover tail — verifies against the absolute-index mirror; a batch
+// the replica holds but whose ack died with the primary verifies by the
+// unit states it left.
 func TestRunFailover(t *testing.T) {
-	p := startFailoverPair(t)
-
-	// The external killer: crash the primary once worker 0 has a few batches
-	// acked, so the loss lands mid-run.
-	go func() {
-		cl := server.Connect(p.primaryURL)
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			cur, err := cl.Cursor(context.Background(), "gzip@0")
-			if err == nil && cur.Events >= 3*256 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		p.kill()
-	}()
+	// Two workers of 24 batches each: the crash arrives with the 7th
+	// batch, after a few acked batches per worker.
+	p := startFailoverPair(t, 7)
 
 	var out bytes.Buffer
 	err := run([]string{
@@ -123,6 +138,7 @@ func TestRunFailover(t *testing.T) {
 	if rep.Failover == nil || !rep.Failover.Promoted {
 		t.Fatalf("no promotion in report: %+v", rep.Failover)
 	}
+	t.Logf("failover: %+v", *rep.Failover)
 	if rep.Failover.WorkersResumed == 0 {
 		t.Fatalf("no worker resumed on the replica: %+v", rep.Failover)
 	}
@@ -153,11 +169,11 @@ func TestRunFailoverRejectsPrimaryTarget(t *testing.T) {
 
 func TestRunFailoverFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-addr", "http://x", "-failover-pid", "1"},                               // pid without -failover
-		{"-addr", "http://x", "-failover-after-batches", "4"},                     // threshold without -failover
-		{"-addr", "http://x", "-failover", "http://y", "-stream"},                 // stream conflict
-		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},            // frames conflict
-		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"},  // pid without threshold
+		{"-addr", "http://x", "-failover-pid", "1"},                              // pid without -failover
+		{"-addr", "http://x", "-failover-after-batches", "4"},                    // threshold without -failover
+		{"-addr", "http://x", "-failover", "http://y", "-stream"},                // stream conflict
+		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},           // frames conflict
+		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, // pid without threshold
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -509,6 +509,7 @@ func run(args []string, out io.Writer) error {
 			PromotedWalSeq:  fc.res.LastAppliedSeq,
 			WorkersResumed:  int(fc.resumed.Load()),
 			ResentEvents:    fc.resent.Load(),
+			AckLostEvents:   fc.ackLost.Load(),
 		}
 	}
 	if elapsed > 0 {

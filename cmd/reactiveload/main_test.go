@@ -17,7 +17,7 @@ import (
 // reactiveload parameter scale so -verify can mirror it.
 func testDaemon(t *testing.T) string {
 	t.Helper()
-	s := server.New(server.Config{Params: core.DefaultParams().Scaled(10), Shards: 4})
+	s := server.New(server.Config{Params: core.DefaultParams().Scaled(10)})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL

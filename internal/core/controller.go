@@ -84,10 +84,10 @@ type Transition struct {
 // OptLatency instructions later, and evicted code stays live ("lame duck")
 // for OptLatency instructions until the repaired code is deployed.
 type deployment struct {
-	liveDir   bool
 	liveUntil uint64 // 0 = not live; math.MaxUint64 = live indefinitely
-	nextDir   bool
 	nextAt    uint64 // 0 = nothing pending
+	liveDir   bool
+	nextDir   bool
 }
 
 func (d *deployment) tick(instr uint64) {
@@ -124,10 +124,11 @@ func (d *deployment) undeploy(at uint64) {
 	d.nextAt = 0
 }
 
-// branch is the per-branch classifier state.
+// branch is the per-branch classifier state. Fields are grouped by width so
+// the struct packs into 104 bytes: it is the bulk of a serving table's
+// per-unit memory.
 type branch struct {
-	state State
-	dep   deployment
+	dep deployment
 
 	// Monitor-state window.
 	monSeen  uint64 // executions elapsed in the current window
@@ -135,19 +136,21 @@ type branch struct {
 	monTaken uint64 // sampled taken outcomes
 
 	// Biased-state bookkeeping.
-	direction bool
-	counter   uint32
-	cyclePos  uint64 // eviction-by-sampling cycle position
-	smpExecs  uint64
-	smpWrong  uint64
+	cyclePos uint64 // eviction-by-sampling cycle position
+	smpExecs uint64
+	smpWrong uint64
 
 	// Unbiased-state bookkeeping.
 	waitLeft uint64
 
 	// Lifecycle statistics.
-	execs      uint64
-	optCount   uint32
-	evictions  uint32
+	execs     uint64
+	counter   uint32 // biased-state eviction counter
+	optCount  uint32
+	evictions uint32
+
+	state      State
+	direction  bool // biased-state speculation direction
 	everBiased bool
 }
 
@@ -155,10 +158,14 @@ type branch struct {
 // branch independently (Section 3.2) and reports, for each dynamic instance,
 // whether it was covered by live speculative code and with what outcome.
 //
+// Branch state lives in fixed-size pages indexed by branch ID (Pages), so
+// IDs should be dense from zero: the serving table maps client IDs onto
+// dense slots before they reach a controller.
+//
 // Controller is not safe for concurrent use; drive it from one goroutine.
 type Controller struct {
 	params   Params
-	branches []branch
+	branches Pages[branch]
 
 	// OnTransition, if non-nil, is invoked after every classification
 	// change. It must not call back into the controller.
@@ -213,12 +220,10 @@ func New(params Params) *Controller {
 func (c *Controller) Params() Params { return c.params }
 
 func (c *Controller) branchFor(id trace.BranchID) *branch {
-	if int(id) >= len(c.branches) {
-		grown := make([]branch, int(id)+1+int(id)/2)
-		copy(grown, c.branches)
-		c.branches = grown
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b
 	}
-	return &c.branches[id]
+	return c.branches.At(uint32(id))
 }
 
 // OnBranch observes one dynamic branch instance. instr is the global dynamic
@@ -227,7 +232,19 @@ func (c *Controller) branchFor(id trace.BranchID) *branch {
 // instant, which — because of optimization latency — may lag the branch's
 // classification state.
 func (c *Controller) OnBranch(id trace.BranchID, taken bool, instr uint64) Verdict {
+	return c.observe(id, c.branchFor(id), taken, instr)
+}
+
+// Observe is OnBranch that also returns the branch's resulting
+// classification state and live-deployment status — everything a serving
+// decision encodes — without looking the branch up again.
+func (c *Controller) Observe(id trace.BranchID, taken bool, instr uint64) (v Verdict, st State, dir, live bool) {
 	b := c.branchFor(id)
+	v = c.observe(id, b, taken, instr)
+	return v, b.state, b.dep.liveDir, b.dep.live()
+}
+
+func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, instr uint64) Verdict {
 	b.execs++
 	c.stats.Events++
 
@@ -400,21 +417,20 @@ func (c *Controller) Stats() Stats { return c.stats }
 // BranchState returns the classification state of a branch (Monitor for a
 // branch never seen).
 func (c *Controller) BranchState(id trace.BranchID) State {
-	if int(id) >= len(c.branches) {
-		return Monitor
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b.state
 	}
-	return c.branches[id].state
+	return Monitor
 }
 
 // Speculating reports whether speculation is currently live for the branch
 // and, if so, its direction. Note that, because of optimization latency,
 // this can disagree with BranchState around transitions.
 func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
-	if int(id) >= len(c.branches) {
-		return false, false
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b.dep.liveDir, b.dep.live()
 	}
-	b := &c.branches[id]
-	return b.dep.liveDir, b.dep.live()
+	return false, false
 }
 
 // StaticCounts summarizes per-branch lifecycle statistics: how many static
@@ -422,10 +438,9 @@ func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
 // were ever evicted, and how many were retired by the oscillation limit
 // (the Table 3 static columns).
 func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired int) {
-	for i := range c.branches {
-		b := &c.branches[i]
+	c.branches.Each(func(_ uint32, b *branch) {
 		if b.execs == 0 {
-			continue
+			return
 		}
 		touched++
 		if b.everBiased {
@@ -437,22 +452,22 @@ func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired i
 		if b.state == Retired {
 			retired++
 		}
-	}
+	})
 	return touched, everBiased, everEvicted, retired
 }
 
 // Evictions returns how many times the branch has been evicted.
 func (c *Controller) Evictions(id trace.BranchID) uint32 {
-	if int(id) >= len(c.branches) {
-		return 0
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b.evictions
 	}
-	return c.branches[id].evictions
+	return 0
 }
 
 // Optimizations returns how many times the branch entered the biased state.
 func (c *Controller) Optimizations(id trace.BranchID) uint32 {
-	if int(id) >= len(c.branches) {
-		return 0
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b.optCount
 	}
-	return c.branches[id].optCount
+	return 0
 }

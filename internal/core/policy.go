@@ -4,8 +4,10 @@ import "fmt"
 
 // Policy is one speculation-control policy driving a single tracked unit (a
 // static branch, load, dependence pair, …). It is the pluggable abstraction
-// behind the serving table: each table entry owns one Policy instance, and
-// the paper's reactive FSM is just the default implementation.
+// behind the serving table: each unit of a table partition owns one Policy
+// instance, and the paper's reactive FSM is just the default implementation
+// (which the table runs as one multi-branch Controller per partition
+// instead).
 //
 // All four speculation kinds are boolean-outcome streams, so the policy sees
 // the same shape regardless of kind: one outcome per dynamic event at a
@@ -87,29 +89,22 @@ func NewPolicy(name string, params Params) (Policy, error) {
 }
 
 // reactivePolicy adapts a single-branch Controller (unit ID 0) to the Policy
-// interface. The serving table bypasses this wrapper on its hot path — a
-// table entry running the reactive policy calls the *Controller directly —
-// so this adapter only carries the snapshot/metrics plumbing and the
+// interface. The serving table never uses it — a reactive partition drives
+// one multi-branch Controller directly — so this adapter serves the
 // non-serving users (PolicySet, experiments).
 type reactivePolicy struct {
 	ctl *Controller
 }
 
 func (p *reactivePolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	v := p.ctl.OnBranch(0, outcome, instr)
-	dir, live := p.ctl.Speculating(0)
-	return v, p.ctl.BranchState(0), dir, live
+	return p.ctl.Observe(0, outcome, instr)
 }
 
-func (p *reactivePolicy) AddInstrs(n uint64)            { p.ctl.AddInstrs(n) }
-func (p *reactivePolicy) State() State                  { return p.ctl.BranchState(0) }
-func (p *reactivePolicy) Speculating() (bool, bool)     { return p.ctl.Speculating(0) }
-func (p *reactivePolicy) Stats() Stats                  { return p.ctl.Stats() }
-func (p *reactivePolicy) SetStats(s Stats)              { p.ctl.SetStats(s) }
-func (p *reactivePolicy) Export() (BranchState, bool)   { return p.ctl.ExportBranch(0) }
-func (p *reactivePolicy) Import(st BranchState)         { p.ctl.ImportBranch(0, st) }
+func (p *reactivePolicy) AddInstrs(n uint64)              { p.ctl.AddInstrs(n) }
+func (p *reactivePolicy) State() State                    { return p.ctl.BranchState(0) }
+func (p *reactivePolicy) Speculating() (bool, bool)       { return p.ctl.Speculating(0) }
+func (p *reactivePolicy) Stats() Stats                    { return p.ctl.Stats() }
+func (p *reactivePolicy) SetStats(s Stats)                { p.ctl.SetStats(s) }
+func (p *reactivePolicy) Export() (BranchState, bool)     { return p.ctl.ExportBranch(0) }
+func (p *reactivePolicy) Import(st BranchState)           { p.ctl.ImportBranch(0, st) }
 func (p *reactivePolicy) OnTransition(f func(Transition)) { p.ctl.OnTransition = f }
-
-// Controller exposes the wrapped reactive controller, for callers (the
-// serving table) that inline the hot path when the policy is reactive.
-func (p *reactivePolicy) Controller() *Controller { return p.ctl }

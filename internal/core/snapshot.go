@@ -52,11 +52,8 @@ type BranchState struct {
 // Untouched branches need no snapshot entry: a fresh controller already
 // behaves identically for them.
 func (c *Controller) ExportBranch(id trace.BranchID) (BranchState, bool) {
-	if int(id) >= len(c.branches) {
-		return BranchState{}, false
-	}
-	b := &c.branches[id]
-	if b.execs == 0 && b.state == Monitor {
+	b := c.branches.Get(uint32(id))
+	if b == nil || b.execs == 0 && b.state == Monitor {
 		return BranchState{}, false
 	}
 	return BranchState{
@@ -109,13 +106,11 @@ func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) {
 // as touched, in increasing order.
 func (c *Controller) TouchedBranches() []trace.BranchID {
 	var ids []trace.BranchID
-	for i := range c.branches {
-		b := &c.branches[i]
-		if b.execs == 0 && b.state == Monitor {
-			continue
+	c.branches.Each(func(i uint32, b *branch) {
+		if b.execs != 0 || b.state != Monitor {
+			ids = append(ids, trace.BranchID(i))
 		}
-		ids = append(ids, trace.BranchID(i))
-	}
+	})
 	return ids
 }
 

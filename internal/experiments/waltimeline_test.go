@@ -84,7 +84,7 @@ func TestTimelineFromWALMatchesTable(t *testing.T) {
 	}
 
 	var wantEvents, wantInstrs uint64
-	tbl := server.NewTable(params, 4)
+	tbl := server.NewTable(params)
 	var instr uint64
 	for _, events := range batches["gzip"] {
 		_, instr = tbl.ApplyBatch("gzip", events, instr, nil)

@@ -58,13 +58,13 @@ type primaryEnv struct {
 	ts      *httptest.Server
 }
 
-func startPrimary(t *testing.T, shards int) *primaryEnv {
-	return startPrimarySeg(t, shards, 0)
+func startPrimary(t *testing.T) *primaryEnv {
+	return startPrimarySeg(t, 0)
 }
 
 // startPrimarySeg is startPrimary with a segment-size override (small
 // segments force rotations, which compaction needs).
-func startPrimarySeg(t *testing.T, shards int, segBytes int64) *primaryEnv {
+func startPrimarySeg(t *testing.T, segBytes int64) *primaryEnv {
 	t.Helper()
 	params := testParams()
 	l, err := wal.Open(wal.Options{
@@ -74,7 +74,7 @@ func startPrimarySeg(t *testing.T, shards int, segBytes int64) *primaryEnv {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	s := server.New(server.Config{Params: params, Shards: shards, SnapshotDir: t.TempDir(), WAL: l, Logf: t.Logf})
+	s := server.New(server.Config{Params: params, SnapshotDir: t.TempDir(), WAL: l, Logf: t.Logf})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	sh := NewShipper(ShipperConfig{Log: l, Logf: t.Logf})
@@ -105,7 +105,7 @@ type replicaEnv struct {
 	follower *Follower
 }
 
-func startReplica(t *testing.T, shards int, addr string, window uint32) *replicaEnv {
+func startReplica(t *testing.T, addr string, window uint32) *replicaEnv {
 	t.Helper()
 	params := testParams()
 	l, err := wal.Open(wal.Options{
@@ -114,7 +114,7 @@ func startReplica(t *testing.T, shards int, addr string, window uint32) *replica
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	s := server.New(server.Config{Params: params, Shards: shards, SnapshotDir: t.TempDir(), WAL: l, Replica: true, Logf: t.Logf})
+	s := server.New(server.Config{Params: params, SnapshotDir: t.TempDir(), WAL: l, Replica: true, Logf: t.Logf})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	f := StartFollower(FollowerConfig{
@@ -148,7 +148,7 @@ func waitApplied(t *testing.T, f *Follower, seq uint64) {
 // already holds records (catch-up), keeps ingesting (live tail), and pins
 // the replica's table state and decisions to the primary's.
 func TestReplicationCatchupAndLiveTail(t *testing.T) {
-	p := startPrimary(t, 4)
+	p := startPrimary(t)
 	ctx := context.Background()
 
 	// Records that exist before the follower attaches: the catch-up phase.
@@ -157,7 +157,7 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := startReplica(t, 4, p.ln.Addr().String(), 8)
+	r := startReplica(t, p.ln.Addr().String(), 8)
 
 	// Records appended while attached: the live tail, two programs.
 	for i := 5; i < 10; i++ {
@@ -231,7 +231,7 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 // controller parameters differ is rejected permanently — no retry loop, a
 // typed state, a diagnostic naming both hashes.
 func TestFollowerParamsMismatch(t *testing.T) {
-	p := startPrimary(t, 2)
+	p := startPrimary(t)
 	f := StartFollower(FollowerConfig{
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()) + 1,
@@ -257,7 +257,7 @@ func TestFollowerParamsMismatch(t *testing.T) {
 // resuming below the primary's retained range is told, permanently and in
 // plain words, that it needs a full resync.
 func TestFollowerBehindCompaction(t *testing.T) {
-	p := startPrimarySeg(t, 2, 1<<12)
+	p := startPrimarySeg(t, 1<<12)
 	ctx := context.Background()
 	// Rotate segments, then snapshot: the snapshot compacts the log so
 	// sequence 0 is gone.
@@ -298,7 +298,7 @@ func TestFollowerBehindCompaction(t *testing.T) {
 // mid-session, brings a new one up on the same log, and checks the follower
 // reconnects and resumes exactly where it left off.
 func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
-	p := startPrimary(t, 4)
+	p := startPrimary(t)
 	ctx := context.Background()
 	if _, err := p.client.Ingest(ctx, "gzip", synthEvents(500, 1)); err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rl.Close()
-	rs := server.New(server.Config{Params: params, Shards: 4, WAL: rl, Replica: true, Logf: t.Logf})
+	rs := server.New(server.Config{Params: params, WAL: rl, Replica: true, Logf: t.Logf})
 	f := StartFollower(FollowerConfig{
 		ParamsHash: server.ParamsHash(params),
 		NextSeq:    rl.NextSeq,
@@ -360,7 +360,7 @@ func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
 // of the primary's log end is rejected permanently (its records came from a
 // history this primary never wrote).
 func TestShipperRejectsFutureFrom(t *testing.T) {
-	p := startPrimary(t, 2)
+	p := startPrimary(t)
 	f := StartFollower(FollowerConfig{
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()),

@@ -2,11 +2,11 @@ package server
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"reactivespec/internal/core"
 	"reactivespec/internal/trace"
 )
 
@@ -24,41 +24,85 @@ func applyAllBatched(t *Table, program string, evs []trace.Event, instr *uint64,
 	return out
 }
 
-// TestApplyBatchMatchesApply is the batching equivalence pin: across shard
-// counts, seeds, and batch sizes, the batched path must produce the
-// byte-identical decision stream and identical shard metrics (including
-// transition counts and entry counts) as per-event Apply.
+// dealPrograms deals evs round-robin over n programs, returning each
+// program's name and event stream. One program keeps the bare base name.
+func dealPrograms(base string, evs []trace.Event, n int) ([]string, [][]trace.Event) {
+	names := make([]string, n)
+	streams := make([][]trace.Event, n)
+	for k := range names {
+		names[k] = base
+		if n > 1 {
+			names[k] = fmt.Sprintf("%s-%d", base, k)
+		}
+	}
+	for i, ev := range evs {
+		streams[i%n] = append(streams[i%n], ev)
+	}
+	return names, streams
+}
+
+// applyDealtPerEvent applies event i of evs to program i%len(names) with
+// per-event Apply, in trace order, so the partitions interleave event by
+// event. It returns each program's decisions and final instruction count.
+func applyDealtPerEvent(t *Table, names []string, evs []trace.Event) ([][]byte, []uint64) {
+	out := make([][]byte, len(names))
+	instr := make([]uint64, len(names))
+	for i, ev := range evs {
+		k := i % len(names)
+		instr[k] += uint64(ev.Gap)
+		out[k] = append(out[k], t.Apply(names[k], ev, instr[k]).Encode())
+	}
+	return out, instr
+}
+
+// TestApplyBatchMatchesApply is the batching equivalence pin: across seeds,
+// batch sizes, and the number of partitions the trace is dealt over, the
+// batched path must produce the byte-identical decision stream and
+// identical table metrics (including transition and entry counts) as
+// per-event Apply. The shards=N label names the partition count: the
+// events are dealt round-robin over N programs, and the batched side
+// visits the programs' batches round-robin too.
 func TestApplyBatchMatchesApply(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
+	for _, parts := range []int{1, 4, 16} {
 		for _, seed := range []uint64{1, 7, 42} {
 			for _, batch := range []int{1, 13, 1024, 60_000} {
-				t.Run(fmt.Sprintf("shards=%d/seed=%d/batch=%d", shards, seed, batch), func(t *testing.T) {
-					evs := synthEvents(30_000, seed)
+				t.Run(fmt.Sprintf("shards=%d/seed=%d/batch=%d", parts, seed, batch), func(t *testing.T) {
+					names, streams := dealPrograms("prog", synthEvents(30_000, seed), parts)
 
-					perEvent := NewTable(testParams(), shards)
-					var instrA uint64
-					want := applyAll(perEvent, "prog", evs, &instrA)
+					perEvent := NewTable(testParams())
+					want, wantInstr := applyDealtPerEvent(perEvent, names, synthEvents(30_000, seed))
 
-					batched := NewTable(testParams(), shards)
-					var instrB uint64
-					got := applyAllBatched(batched, "prog", evs, &instrB, batch)
-
-					if instrA != instrB {
-						t.Fatalf("final instruction count %d, want %d", instrB, instrA)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%d decisions, want %d", len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							gd, _ := DecodeDecision(got[i])
-							wd, _ := DecodeDecision(want[i])
-							t.Fatalf("event %d (branch %d): batched %v, per-event %v",
-								i, evs[i].Branch, gd, wd)
+					batched := NewTable(testParams())
+					got := make([][]byte, parts)
+					instr := make([]uint64, parts)
+					for off := 0; off < len(streams[0]); off += batch {
+						for k := range names {
+							if off >= len(streams[k]) {
+								continue
+							}
+							end := min(off+batch, len(streams[k]))
+							got[k], instr[k] = batched.ApplyBatch(names[k], streams[k][off:end], instr[k], got[k])
 						}
 					}
-					if gm, wm := batched.Metrics(), perEvent.Metrics(); !reflect.DeepEqual(gm, wm) {
-						t.Fatalf("shard metrics diverge:\nbatched:   %+v\nper-event: %+v", gm, wm)
+
+					for k := range names {
+						if instr[k] != wantInstr[k] {
+							t.Fatalf("%s: final instruction count %d, want %d", names[k], instr[k], wantInstr[k])
+						}
+						if len(got[k]) != len(want[k]) {
+							t.Fatalf("%s: %d decisions, want %d", names[k], len(got[k]), len(want[k]))
+						}
+						for i := range want[k] {
+							if got[k][i] != want[k][i] {
+								gd, _ := DecodeDecision(got[k][i])
+								wd, _ := DecodeDecision(want[k][i])
+								t.Fatalf("%s event %d (branch %d): batched %v, per-event %v",
+									names[k], i, streams[k][i].Branch, gd, wd)
+							}
+						}
+					}
+					if gm, wm := batched.Metrics(), perEvent.Metrics(); gm != wm {
+						t.Fatalf("table metrics diverge:\nbatched:   %+v\nper-event: %+v", gm, wm)
 					}
 				})
 			}
@@ -66,7 +110,79 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyBatchTightLoop exercises the last-entry cache: long runs of a
+// TestBatchPathMatchesPolicySet pins the table's one apply path against the
+// in-process oracle for every registered policy: for each partition, the
+// decisions, the touched units' exported state, and their lifetime
+// counters equal what one core.PolicySet (one policy instance per unit)
+// computes from the same events. IDs are sparse and include the extremes,
+// so the dense slot index is exercised, not just identity slots.
+func TestBatchPathMatchesPolicySet(t *testing.T) {
+	ids := []trace.BranchID{0, 1, 7, 4096, 1 << 20, 1<<32 - 1, 31337, 2}
+	evs := synthEvents(40_000, 5)
+	for i := range evs {
+		evs[i].Branch = ids[int(evs[i].Branch)%len(ids)]
+	}
+	for _, policy := range core.PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			tab, err := NewTablePolicy(testParams(), 0, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, streams := dealPrograms("prog", evs, 3)
+			for k, name := range names {
+				var got []byte
+				var instr uint64
+				for _, b := range streamBatches(streams[k], 997) {
+					got, instr = tab.ApplyBatch(name, b, instr, got)
+				}
+				// One single-unit oracle per unit, keyed by the client
+				// ID, so lifetime counters compare one unit at a time
+				// (and no oracle is sized by the largest ID).
+				units := map[trace.BranchID]*core.PolicySet{}
+				instr = 0
+				for i, ev := range streams[k] {
+					instr += uint64(ev.Gap)
+					u := units[ev.Branch]
+					if u == nil {
+						var err error
+						if u, err = core.NewPolicySet(policy, testParams()); err != nil {
+							t.Fatal(err)
+						}
+						units[ev.Branch] = u
+					}
+					u.AddInstrs(uint64(ev.Gap))
+					v, st, dir, live := u.OnEvent(0, ev.Taken, instr)
+					if want := (Decision{Verdict: v, State: st, Dir: dir, Live: live}).Encode(); got[i] != want {
+						gd, _ := DecodeDecision(got[i])
+						wd, _ := DecodeDecision(want)
+						t.Fatalf("%s event %d (unit %d): table %v, policy set %v", name, i, ev.Branch, gd, wd)
+					}
+				}
+				for _, es := range tab.SnapshotEntries() {
+					if es.Program != name {
+						continue
+					}
+					u := units[es.Branch]
+					if u == nil {
+						t.Fatalf("%s: snapshot carries unit %d the trace never touched", name, es.Branch)
+					}
+					if want := u.Stats(); es.Stats != want {
+						t.Fatalf("%s unit %d: counters %+v, oracle %+v", name, es.Branch, es.Stats, want)
+					}
+					if es.State.State != u.UnitState(0) {
+						t.Fatalf("%s unit %d: state %v, oracle %v", name, es.Branch, es.State.State, u.UnitState(0))
+					}
+					delete(units, es.Branch)
+				}
+				if len(units) != 0 {
+					t.Fatalf("%s: %d touched units missing from the snapshot", name, len(units))
+				}
+			}
+		})
+	}
+}
+
+// TestApplyBatchTightLoop exercises the last-slot cache: long runs of a
 // single branch must still match per-event Apply exactly.
 func TestApplyBatchTightLoop(t *testing.T) {
 	evs := make([]trace.Event, 0, 40_000)
@@ -80,26 +196,26 @@ func TestApplyBatchTightLoop(t *testing.T) {
 		}
 	}
 
-	perEvent := NewTable(testParams(), 4)
+	perEvent := NewTable(testParams())
 	var instrA uint64
 	want := applyAll(perEvent, "loop", evs, &instrA)
 
-	batched := NewTable(testParams(), 4)
+	batched := NewTable(testParams())
 	var instrB uint64
 	got := applyAllBatched(batched, "loop", evs, &instrB, 4096)
 
 	if string(got) != string(want) {
 		t.Fatal("tight-loop decision stream differs between batched and per-event paths")
 	}
-	if !reflect.DeepEqual(batched.Metrics(), perEvent.Metrics()) {
-		t.Fatal("tight-loop shard metrics differ between batched and per-event paths")
+	if batched.Metrics() != perEvent.Metrics() {
+		t.Fatal("tight-loop table metrics differ between batched and per-event paths")
 	}
 }
 
 // TestApplyBatchEmpty checks the trivial cases: no events, and a batch that
 // only advances dst.
 func TestApplyBatchEmpty(t *testing.T) {
-	tab := NewTable(testParams(), 4)
+	tab := NewTable(testParams())
 	dst, instr := tab.ApplyBatch("p", nil, 17, nil)
 	if len(dst) != 0 || instr != 17 {
 		t.Fatalf("empty batch: %d decisions, instr %d", len(dst), instr)
@@ -120,7 +236,7 @@ func TestApplyBatchConcurrentWithReaders(t *testing.T) {
 		events   = 20_000
 		batch    = 777
 	)
-	tab := NewTable(testParams(), 8)
+	tab := NewTable(testParams())
 
 	var done atomic.Bool
 	var readers sync.WaitGroup
@@ -156,8 +272,7 @@ func TestApplyBatchConcurrentWithReaders(t *testing.T) {
 
 	// Serial replay: a fresh table fed the same per-program streams must
 	// produce the same decision bytes and the same aggregate totals.
-	serial := NewTable(testParams(), 8)
-	var serialTotal, concurrentTotal ShardMetrics
+	serial := NewTable(testParams())
 	for p := 0; p < programs; p++ {
 		var instr uint64
 		want := applyAll(serial, fmt.Sprintf("prog-%d", p), streams[p], &instr)
@@ -165,66 +280,11 @@ func TestApplyBatchConcurrentWithReaders(t *testing.T) {
 			t.Fatalf("program %d: concurrent batched decisions diverge from serial replay", p)
 		}
 	}
-	for _, m := range serial.Metrics() {
-		serialTotal.Add(m)
-	}
-	for _, m := range tab.Metrics() {
-		concurrentTotal.Add(m)
-	}
+	serialTotal, concurrentTotal := serial.Metrics(), tab.Metrics()
 	if serialTotal != concurrentTotal {
 		t.Fatalf("aggregate metrics: concurrent %+v, serial %+v", concurrentTotal, serialTotal)
 	}
 	if concurrentTotal.Events != programs*events {
 		t.Fatalf("total events %d, want %d", concurrentTotal.Events, programs*events)
-	}
-}
-
-// TestApplyShardedMatchesApply pins the two-pass shard schedule directly,
-// bypassing the hop-density heuristic that normally routes batches to it:
-// for branch-hopping and run-heavy traces alike it must produce the
-// byte-identical decision stream, final instruction count, and shard
-// metrics as per-event Apply. (TestApplyBatchMatchesApply covers the
-// dispatcher; this covers the schedule the heuristic might not pick.)
-func TestApplyShardedMatchesApply(t *testing.T) {
-	runs := make([]trace.Event, 0, 20_000)
-	for i := 0; len(runs) < 20_000; i++ {
-		b := trace.BranchID(i % 7)
-		for j := 0; j < 500 && len(runs) < 20_000; j++ {
-			runs = append(runs, trace.Event{Branch: b, Taken: j%3 != 0, Gap: uint32(1 + j%5)})
-		}
-	}
-	traces := map[string][]trace.Event{
-		"hopping": synthEvents(20_000, 3),
-		"runs":    runs,
-	}
-	for name, evs := range traces {
-		for _, shards := range []int{2, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				perEvent := NewTable(testParams(), shards)
-				var instrA uint64
-				want := applyAll(perEvent, "prog", evs, &instrA)
-
-				sharded := NewTable(testParams(), shards)
-				got, instrB := sharded.applySharded(programHash("prog"), "prog", evs, 0, nil)
-
-				if instrA != instrB {
-					t.Fatalf("final instruction count %d, want %d", instrB, instrA)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%d decisions, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						gd, _ := DecodeDecision(got[i])
-						wd, _ := DecodeDecision(want[i])
-						t.Fatalf("event %d (branch %d): sharded %v, per-event %v",
-							i, evs[i].Branch, gd, wd)
-					}
-				}
-				if gm, wm := sharded.Metrics(), perEvent.Metrics(); !reflect.DeepEqual(gm, wm) {
-					t.Fatalf("shard metrics diverge:\nsharded:   %+v\nper-event: %+v", gm, wm)
-				}
-			})
-		}
 	}
 }

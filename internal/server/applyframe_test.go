@@ -2,60 +2,54 @@ package server
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"reactivespec/internal/trace"
 )
 
-// applyAllFramed drives events through the table with ApplyFrame in chunks of
-// batch, encoding each chunk into a wire frame payload first, and returns the
-// encoded decision sequence.
-func applyAllFramed(tb testing.TB, t *Table, program string, evs []trace.Event, instr *uint64, batch int) []byte {
-	out := make([]byte, 0, len(evs))
-	var payload []byte
-	for off := 0; off < len(evs); off += batch {
-		end := off + batch
-		if end > len(evs) {
-			end = len(evs)
-		}
-		payload = trace.EncodeFrameAppend(payload[:0], evs[off:end])
-		if _, err := trace.ValidateFrame(payload); err != nil {
-			tb.Fatalf("encoded frame failed validation: %v", err)
-		}
-		out, *instr = t.ApplyFrame(program, payload, *instr, out)
-	}
-	return out
-}
-
 // TestApplyFrameMatchesApplyBatch is the zero-copy apply equivalence pin:
-// across shard counts, seeds, and frame sizes, decoding-while-applying a wire
-// payload must produce the byte-identical decision stream, final instruction
-// count, and shard metrics as ApplyBatch over the decoded events.
+// across seeds, frame sizes, and the number of partitions the trace is dealt
+// over (shards=N: round-robin over N programs, visited round-robin),
+// decoding-while-applying a wire payload must produce the byte-identical
+// decision stream, final instruction count, and table metrics as
+// ApplyBatch over the decoded events.
 func TestApplyFrameMatchesApplyBatch(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
+	for _, parts := range []int{1, 4, 16} {
 		for _, seed := range []uint64{1, 7, 42} {
 			for _, batch := range []int{1, 13, 1024, 30_000} {
-				t.Run(fmt.Sprintf("shards=%d/seed=%d/batch=%d", shards, seed, batch), func(t *testing.T) {
-					evs := synthEvents(30_000, seed)
-
-					batched := NewTable(testParams(), shards)
-					var instrA uint64
-					want := applyAllBatched(batched, "prog", evs, &instrA, batch)
-
-					framed := NewTable(testParams(), shards)
-					var instrB uint64
-					got := applyAllFramed(t, framed, "prog", evs, &instrB, batch)
-
-					if instrA != instrB {
-						t.Fatalf("final instruction count %d, want %d", instrB, instrA)
+				t.Run(fmt.Sprintf("shards=%d/seed=%d/batch=%d", parts, seed, batch), func(t *testing.T) {
+					names, streams := dealPrograms("prog", synthEvents(30_000, seed), parts)
+					batched, framed := NewTable(testParams()), NewTable(testParams())
+					want := make([][]byte, parts)
+					got := make([][]byte, parts)
+					instrA := make([]uint64, parts)
+					instrB := make([]uint64, parts)
+					var payload []byte
+					for off := 0; off < len(streams[0]); off += batch {
+						for k, name := range names {
+							if off >= len(streams[k]) {
+								continue
+							}
+							chunk := streams[k][off:min(off+batch, len(streams[k]))]
+							want[k], instrA[k] = batched.ApplyBatch(name, chunk, instrA[k], want[k])
+							payload = trace.EncodeFrameAppend(payload[:0], chunk)
+							if _, err := trace.ValidateFrame(payload); err != nil {
+								t.Fatalf("encoded frame failed validation: %v", err)
+							}
+							got[k], instrB[k] = framed.ApplyFrame(name, payload, instrB[k], got[k])
+						}
 					}
-					if string(got) != string(want) {
-						t.Fatalf("framed decision stream differs from batched (lengths %d, %d)",
-							len(got), len(want))
+					for k, name := range names {
+						if instrA[k] != instrB[k] {
+							t.Fatalf("%s: final instruction count %d, want %d", name, instrB[k], instrA[k])
+						}
+						if string(got[k]) != string(want[k]) {
+							t.Fatalf("%s: framed decision stream differs from batched (lengths %d, %d)",
+								name, len(got[k]), len(want[k]))
+						}
 					}
-					if gm, wm := framed.Metrics(), batched.Metrics(); !reflect.DeepEqual(gm, wm) {
-						t.Fatalf("shard metrics diverge:\nframed:  %+v\nbatched: %+v", gm, wm)
+					if gm, wm := framed.Metrics(), batched.Metrics(); gm != wm {
+						t.Fatalf("table metrics diverge:\nframed:  %+v\nbatched: %+v", gm, wm)
 					}
 				})
 			}
@@ -66,7 +60,7 @@ func TestApplyFrameMatchesApplyBatch(t *testing.T) {
 // TestApplyFrameEmpty covers the degenerate frames: zero events, and a
 // payload applied into a pre-populated dst.
 func TestApplyFrameEmpty(t *testing.T) {
-	tab := NewTable(testParams(), 4)
+	tab := NewTable(testParams())
 	empty := trace.EncodeFrameAppend(nil, nil)
 	dst, instr := tab.ApplyFrame("p", empty, 17, nil)
 	if len(dst) != 0 || instr != 17 {
@@ -89,7 +83,7 @@ func TestApplyFrameSteadyStateAllocs(t *testing.T) {
 	}
 	evs := synthEvents(4096, 9)
 	payload := trace.EncodeFrameAppend(nil, evs)
-	tab := NewTable(testParams(), 8)
+	tab := NewTable(testParams())
 	dst := make([]byte, 0, len(evs))
 	var instr uint64
 	// Warm up: create every (program, branch) entry.

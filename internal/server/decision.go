@@ -1,10 +1,10 @@
 // Package server turns the in-process reactive controller (internal/core)
-// into a long-running, networked speculation-control service: a sharded,
-// lock-striped table of per-(program, branch) controllers, an HTTP daemon
-// that ingests batches of branch-outcome events in the internal/trace frame
-// format and serves classification decisions back, periodic snapshots with
-// atomic rename + restore-on-start, and first-class observability
-// (/metrics, /healthz, graceful drain).
+// into a long-running, networked speculation-control service: a table with
+// one controller partition per program tracking each of its branches, an
+// HTTP daemon that ingests batches of branch-outcome events in the
+// internal/trace frame format and serves classification decisions back,
+// periodic snapshots with atomic rename + restore-on-start, and first-class
+// observability (/metrics, /healthz, graceful drain).
 //
 // The paper's controller is a closed-loop online mechanism — it only pays
 // off if observations keep flowing back into decisions — which at service

@@ -39,7 +39,7 @@ func TestEndToEndEquivalenceWithHarness(t *testing.T) {
 	spec := workload.MustBuild("gzip", workload.InputEval, workload.Options{
 		EventScale: workload.DefaultEventScale * 0.02,
 	})
-	_, c := newTestServer(t, Config{Params: params, Shards: 16})
+	_, c := newTestServer(t, Config{Params: params})
 
 	want := expectedDecisions(params, workload.NewGenerator(spec))
 
@@ -77,7 +77,7 @@ func TestEndToEndEquivalenceUnderFaults(t *testing.T) {
 		EventScale: workload.DefaultEventScale * 0.01,
 	})
 	mix := faults.IntensityMix(0.4, spec.Events, trace.BranchID(len(spec.Branches)), spec.Seed^0xfa)
-	_, c := newTestServer(t, Config{Params: params, Shards: 16})
+	_, c := newTestServer(t, Config{Params: params})
 
 	want := expectedDecisions(params, mix.Apply(workload.NewGenerator(spec), spec.Events))
 

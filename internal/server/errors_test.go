@@ -19,17 +19,17 @@ import (
 // checks the one contract they all share: a JSON {"error", "code"} envelope
 // with the documented status code, served as application/json.
 func TestErrorEnvelopeConformance(t *testing.T) {
-	live := New(Config{Params: testParams(), Shards: 2})
+	live := New(Config{Params: testParams()})
 	liveTS := httptest.NewServer(live.Handler())
 	defer liveTS.Close()
 
-	draining := New(Config{Params: testParams(), Shards: 2})
+	draining := New(Config{Params: testParams()})
 	draining.BeginDrain()
 	drainTS := httptest.NewServer(draining.Handler())
 	defer drainTS.Close()
 
 	// branchOnly serves a restricted kind set, for the unserved-kind paths.
-	branchOnly := New(Config{Params: testParams(), Shards: 2, Kinds: []trace.Kind{trace.KindBranch}})
+	branchOnly := New(Config{Params: testParams(), Kinds: []trace.Kind{trace.KindBranch}})
 	branchTS := httptest.NewServer(branchOnly.Handler())
 	defer branchTS.Close()
 
@@ -109,7 +109,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 // TestClientErrorMapping pins the client-side contract: envelopes decode to
 // *APIError and map onto the sentinels through errors.Is.
 func TestClientErrorMapping(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 2})
+	s, c := newTestServer(t, Config{})
 	s.BeginDrain()
 	_, err := c.Ingest(context.Background(), "p", synthEvents(10, 1))
 	if !errors.Is(err, ErrDraining) {
@@ -123,18 +123,18 @@ func TestClientErrorMapping(t *testing.T) {
 		t.Fatalf("APIError = %+v", apiErr)
 	}
 
-	s2, c2 := newTestServer(t, Config{Shards: 2})
+	s2, c2 := newTestServer(t, Config{})
 	pinned := Connect(c2.base, WithParamsHash(s2.paramsHash^1))
 	if _, err := pinned.Ingest(context.Background(), "p", synthEvents(10, 1)); !errors.Is(err, ErrParamsMismatch) {
 		t.Fatalf("pinned ingest = %v, want ErrParamsMismatch", err)
 	}
 
 	// Kind and policy rejections map to their sentinels the same way.
-	_, c3 := newTestServer(t, Config{Shards: 2, Kinds: []trace.Kind{trace.KindBranch}})
+	_, c3 := newTestServer(t, Config{Kinds: []trace.Kind{trace.KindBranch}})
 	if _, err := c3.IngestKind(context.Background(), "p", trace.KindValue, synthEvents(10, 1)); !errors.Is(err, ErrUnsupportedKind) {
 		t.Fatalf("IngestKind of unserved kind = %v, want ErrUnsupportedKind", err)
 	}
-	_, c4 := newTestServer(t, Config{Shards: 2})
+	_, c4 := newTestServer(t, Config{})
 	misnamed := Connect(c4.base, WithPolicy("zzz"))
 	if _, err := misnamed.IngestKind(context.Background(), "p", trace.KindValue, synthEvents(10, 1)); !errors.Is(err, ErrUnknownPolicy) {
 		t.Fatalf("IngestKind with unregistered policy pin = %v, want ErrUnknownPolicy", err)
@@ -147,7 +147,7 @@ func TestClientErrorMapping(t *testing.T) {
 
 // TestInfoEndpoint pins /v1/info's contents and the VerifyParams round trip.
 func TestInfoEndpoint(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4})
+	s, c := newTestServer(t, Config{})
 	info, err := c.Info(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestInfoEndpoint(t *testing.T) {
 	if info.ProtoVersion != trace.StreamProtoVersion {
 		t.Fatalf("proto_version = %d, want %d", info.ProtoVersion, trace.StreamProtoVersion)
 	}
-	if info.Shards != 4 || info.Draining {
+	if info.Draining || info.Mode != "primary" {
 		t.Fatalf("info = %+v", info)
 	}
 	if info.ParamsHash != formatParamsHash(ParamsHash(s.cfg.Params)) {

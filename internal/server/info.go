@@ -14,6 +14,12 @@ import (
 // APIVersion names the HTTP API generation every /v1/* endpoint belongs to.
 const APIVersion = "v1"
 
+// FNV-1a constants for the params hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // ParamsHash is a deterministic 64-bit digest of the controller parameters:
 // FNV-1a over a fixed-order binary serialization of every core.Params field.
 // Two processes agree on the hash exactly when they would compute identical
@@ -111,8 +117,6 @@ type Info struct {
 	ProtoVersion uint32 `json:"proto_version"`
 	// ParamsHash is the controller-parameter digest, in fixed-width hex.
 	ParamsHash string `json:"params_hash"`
-	// Shards is the controller table's lock-stripe count.
-	Shards int `json:"shards"`
 	// Draining reports whether the daemon is draining for shutdown.
 	Draining bool `json:"draining"`
 	// Mode is "primary" for a writable daemon, "replica" while it is
@@ -122,7 +126,7 @@ type Info struct {
 	// order. Absent (nil) in pre-kind daemons' responses, which serve
 	// exactly ["branch"].
 	Kinds []string `json:"kinds,omitempty"`
-	// Policy is the registered policy name every table entry runs.
+	// Policy is the registered policy name every table unit runs.
 	// Absent in pre-policy daemons' responses, which run "reactive".
 	Policy string `json:"policy,omitempty"`
 }
@@ -137,7 +141,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		APIVersion:   APIVersion,
 		ProtoVersion: trace.StreamProtoVersion,
 		ParamsHash:   formatParamsHash(s.paramsHash),
-		Shards:       s.table.Shards(),
 		Draining:     s.draining.Load(),
 		Mode:         s.Mode(),
 		Kinds:        s.KindNames(),

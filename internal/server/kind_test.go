@@ -23,7 +23,7 @@ import (
 // matches its own in-process mirror over its own event stream, and reading
 // one kind's state never shows another's.
 func TestMixedKindIsolationSameProgram(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 4})
+	_, c := newTestServer(t, Config{})
 	const program = "gzip"
 
 	kinds := []trace.Kind{trace.KindBranch, trace.KindValue, trace.KindMemdep, trace.KindTLSpec}
@@ -109,8 +109,8 @@ func TestV1V2ByteExactBranch(t *testing.T) {
 		body = trace.AppendFrame(nil, b)
 
 		// Fresh server per endpoint: identical inputs from identical state.
-		_, v1c := newTestServer(t, Config{Shards: 4})
-		_, v2c := newTestServer(t, Config{Shards: 4})
+		_, v1c := newTestServer(t, Config{})
+		_, v2c := newTestServer(t, Config{})
 		s1, b1 := post(v1c, "/v1/ingest?program=gzip", body)
 		s2, b2 := post(v2c, "/v2/ingest?program=gzip&kind=branch", body)
 		if s1 != http.StatusOK || s2 != http.StatusOK {
@@ -123,7 +123,7 @@ func TestV1V2ByteExactBranch(t *testing.T) {
 
 	// Same server: alternating endpoints continue one decision stream, so
 	// the two surfaces are views of one entry, not parallel copies.
-	_, c := newTestServer(t, Config{Shards: 4})
+	_, c := newTestServer(t, Config{})
 	var mixed []Decision
 	for i, b := range streamBatches(evs, 1500) {
 		var (
@@ -140,7 +140,7 @@ func TestV1V2ByteExactBranch(t *testing.T) {
 		}
 		mixed = append(mixed, ds...)
 	}
-	_, ref := newTestServer(t, Config{Shards: 4})
+	_, ref := newTestServer(t, Config{})
 	var want []Decision
 	for _, b := range streamBatches(evs, 1500) {
 		ds, err := ref.Ingest(context.Background(), "gzip", b)
@@ -166,7 +166,7 @@ func TestStreamProto3Proto4InteropByteExact(t *testing.T) {
 	}
 	open := func(proto uint32) (*session, trace.Ack) {
 		t.Helper()
-		s, _ := newTestServer(t, Config{Shards: 4})
+		s, _ := newTestServer(t, Config{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +236,7 @@ func TestStreamProto3Proto4InteropByteExact(t *testing.T) {
 // entries, with no WAL format change (branch records still carry the plain
 // program name a pre-kind build wrote).
 func TestWALKindTransparentRecovery(t *testing.T) {
-	env := newWALEnv(t, 4)
+	env := newWALEnv(t)
 	l := env.openLog(t, wal.SyncAlways)
 	victim, vc := env.newServer(t, l)
 
@@ -298,7 +298,7 @@ func TestSnapshotPolicyRoundTripAndMismatch(t *testing.T) {
 	for _, policy := range core.PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
-			s, c := newTestServer(t, Config{SnapshotDir: dir, Shards: 2, Policy: policy})
+			s, c := newTestServer(t, Config{SnapshotDir: dir, Policy: policy})
 			evs := synthEvents(4000, 7)
 			if _, err := c.IngestKind(context.Background(), "p", trace.KindValue, evs[:2000]); err != nil {
 				t.Fatal(err)
@@ -307,13 +307,15 @@ func TestSnapshotPolicyRoundTripAndMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			same := New(Config{Params: testParams(), SnapshotDir: dir, Shards: 2, Policy: policy})
+			same := New(Config{Params: testParams(), SnapshotDir: dir, Policy: policy})
 			if _, err := same.RestoreFromDisk(); err != nil {
 				t.Fatalf("restore into same policy: %v", err)
 			}
 			key := trace.EncodeKindProgram(trace.KindValue, "p")
-			wantTail, _ := s.table.ApplyBatchKind("p", trace.KindValue, evs[2000:], s.cursorFor(key).instr, nil)
-			gotTail, _ := same.table.ApplyBatchKind("p", trace.KindValue, evs[2000:], s.cursorFor(key).instr, nil)
+			// Each side continues from its own cursor: the restored one
+			// must have come back with the snapshotted position.
+			wantTail := s.table.partition(key).apply(evs[2000:], nil)
+			gotTail := same.table.partition(key).apply(evs[2000:], nil)
 			if !bytes.Equal(gotTail, wantTail) {
 				t.Fatal("restored server's future decisions diverge from the snapshotted one's")
 			}
@@ -322,7 +324,7 @@ func TestSnapshotPolicyRoundTripAndMismatch(t *testing.T) {
 				if other == policy {
 					continue
 				}
-				mismatched := New(Config{Params: testParams(), SnapshotDir: dir, Shards: 2, Policy: other})
+				mismatched := New(Config{Params: testParams(), SnapshotDir: dir, Policy: other})
 				if _, err := mismatched.RestoreFromDisk(); !errors.Is(err, ErrSnapshotMismatch) {
 					t.Fatalf("restore of %s snapshot into %s server = %v, want ErrSnapshotMismatch",
 						policy, other, err)
@@ -361,7 +363,7 @@ func TestParamsPolicyHash(t *testing.T) {
 func TestPolicyServerMatchesPolicySet(t *testing.T) {
 	for _, policy := range core.PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
-			_, c := newTestServer(t, Config{Shards: 4, Policy: policy})
+			_, c := newTestServer(t, Config{Policy: policy})
 			set, err := core.NewPolicySet(policy, testParams())
 			if err != nil {
 				t.Fatal(err)
@@ -388,7 +390,7 @@ func TestPolicyServerMatchesPolicySet(t *testing.T) {
 // TestServesKindConfig pins the -kinds restriction surface: a configured
 // subset is what /v1/info advertises and what ServesKind answers.
 func TestServesKindConfig(t *testing.T) {
-	s := New(Config{Params: testParams(), Shards: 2, Kinds: []trace.Kind{trace.KindBranch, trace.KindTLSpec}})
+	s := New(Config{Params: testParams(), Kinds: []trace.Kind{trace.KindBranch, trace.KindTLSpec}})
 	for _, tc := range []struct {
 		kind trace.Kind
 		want bool
@@ -408,7 +410,7 @@ func TestServesKindConfig(t *testing.T) {
 	if s.ServesKind(trace.Kind(99)) {
 		t.Fatal("an invalid kind reports as served")
 	}
-	if fmt.Sprint(New(Config{Params: testParams(), Shards: 2}).KindNames()) != fmt.Sprint(trace.KindNames()) {
+	if fmt.Sprint(New(Config{Params: testParams()}).KindNames()) != fmt.Sprint(trace.KindNames()) {
 		t.Fatal("an empty Kinds config does not default to serving every kind")
 	}
 }

@@ -1,19 +1,17 @@
 package server
 
 import (
-	"strconv"
-
 	"reactivespec/internal/core"
 	"reactivespec/internal/obs"
 	"reactivespec/internal/wal"
 )
 
-// ShardMetrics are one shard's lifetime counters. Counters reset on process
-// restart (they describe this serving session, not the snapshotted
-// controller state).
-type ShardMetrics struct {
+// TableMetrics are a table partition's lifetime counters, or their sum over
+// the whole table (Table.Metrics). Counters reset on process restart (they
+// describe this serving session, not the snapshotted controller state).
+type TableMetrics struct {
 	// Events and Instrs count the dynamic branch instances and
-	// instructions ingested into this shard.
+	// instructions ingested.
 	Events uint64
 	Instrs uint64
 	// Correct, Misspec and NotSpec partition Events by verdict.
@@ -22,12 +20,12 @@ type ShardMetrics struct {
 	NotSpec uint64
 	// Transitions counts classification transitions into each state.
 	Transitions [4]uint64
-	// Entries is the number of (program, branch) keys resident.
+	// Entries is the number of resident (program, unit) entries.
 	Entries uint64
 }
 
 // MisspecRate returns misspeculations as a fraction of ingested events.
-func (m ShardMetrics) MisspecRate() float64 {
+func (m TableMetrics) MisspecRate() float64 {
 	if m.Events == 0 {
 		return 0
 	}
@@ -35,7 +33,7 @@ func (m ShardMetrics) MisspecRate() float64 {
 }
 
 // Add folds o into m (for whole-table totals).
-func (m *ShardMetrics) Add(o ShardMetrics) {
+func (m *TableMetrics) Add(o TableMetrics) {
 	m.Events += o.Events
 	m.Instrs += o.Instrs
 	m.Correct += o.Correct
@@ -53,7 +51,7 @@ var batchLatencyQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // serverInstruments are the server's direct registry instruments: cheap
 // atomic counters on the ingest path plus the latency and batch-size
-// summaries. The per-shard counters live under the shard locks instead and
+// summaries. The table counters live under the partition locks instead and
 // are exported through a collector (registerTableCollector) so the ingest
 // hot path pays no extra synchronization for them.
 type serverInstruments struct {
@@ -145,55 +143,22 @@ func registerWALCollector(reg *obs.Registry, l *wal.Log) {
 	})
 }
 
-// registerTableCollector exposes the sharded table's counters — which live
-// under the shard locks, not in registry instruments — as computed families:
-// per-shard events/instructions/verdicts/transitions/entries plus
-// whole-table totals.
+// registerTableCollector exposes the table's counters — which live under
+// the partition locks, not in registry instruments — as computed
+// whole-table families.
 func registerTableCollector(reg *obs.Registry, t *Table) {
 	reg.RegisterCollector("reactived_table", func(e *obs.Emitter) {
-		shards := t.Metrics()
-
-		perShard := func(name, help string, get func(ShardMetrics) uint64) {
-			e.Family(name, "counter", help)
-			for i, m := range shards {
-				e.SampleUint(get(m), "shard", strconv.Itoa(i))
-			}
-		}
-		perShard("reactived_events_total", "Dynamic branch instances ingested.",
-			func(m ShardMetrics) uint64 { return m.Events })
-		perShard("reactived_instructions_total", "Dynamic instructions ingested.",
-			func(m ShardMetrics) uint64 { return m.Instrs })
-		perShard("reactived_correct_total", "Correct speculations.",
-			func(m ShardMetrics) uint64 { return m.Correct })
-		perShard("reactived_misspec_total", "Misspeculations.",
-			func(m ShardMetrics) uint64 { return m.Misspec })
-		perShard("reactived_notspec_total", "Instances not covered by live speculation.",
-			func(m ShardMetrics) uint64 { return m.NotSpec })
-
-		e.Family("reactived_misspec_rate", "gauge", "Misspeculations per ingested event.")
-		for i, m := range shards {
-			e.Sample(m.MisspecRate(), "shard", strconv.Itoa(i))
-		}
-
-		e.Family("reactived_transitions_total", "counter", "Classification transitions into each state.")
-		for i, m := range shards {
-			for st, n := range m.Transitions {
-				e.SampleUint(n, "shard", strconv.Itoa(i), "state", core.State(st).String())
-			}
-		}
-
-		e.Family("reactived_entries", "gauge", "Resident (program, branch) controller entries.")
-		for i, m := range shards {
-			e.SampleUint(m.Entries, "shard", strconv.Itoa(i))
-		}
-
-		var total ShardMetrics
-		for _, m := range shards {
-			total.Add(m)
-		}
-		e.Family("reactived_table_events_total", "counter", "Events ingested across all shards.")
+		total := t.Metrics()
+		e.Family("reactived_table_events_total", "counter", "Events ingested across the table.")
 		e.SampleUint(total.Events)
-		e.Family("reactived_table_misspec_rate", "gauge", "Misspeculations per event across all shards.")
+		e.Family("reactived_table_misspec_rate", "gauge", "Misspeculations per event across the table.")
 		e.Sample(total.MisspecRate())
+		e.Family("reactived_table_transitions_total", "counter",
+			"Classification transitions into each state across the table.")
+		for st, n := range total.Transitions {
+			e.SampleUint(n, "state", core.State(st).String())
+		}
+		e.Family("reactived_table_entries", "gauge", "Resident (program, unit) entries across the table.")
+		e.SampleUint(total.Entries)
 	})
 }

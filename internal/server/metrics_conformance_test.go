@@ -22,7 +22,7 @@ func TestMetricsConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wlog.Close()
-	s, c := newTestServer(t, Config{Shards: 4, WAL: wlog})
+	s, c := newTestServer(t, Config{WAL: wlog})
 
 	// Register the replication metrics the daemon would: the shipper's
 	// (including the per-follower lag gauges) and the follower's. The

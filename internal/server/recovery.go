@@ -70,9 +70,7 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("server: replaying wal record %d: %w", r.NextSeq(), err)
 		}
-		cur := s.cursorFor(rec.Program)
-		discard, cur.instr = s.table.ApplyBatch(rec.Program, rec.Events, cur.instr, discard[:0])
-		cur.events += uint64(len(rec.Events))
+		discard = s.table.partition(rec.Program).apply(rec.Events, discard[:0])
 		res.ReplayedRecords++
 		res.ReplayedEvents += uint64(len(rec.Events))
 	}

@@ -83,7 +83,7 @@ func (s *Server) Promote() (PromoteResult, error) {
 // log-before-apply contract as handleIngest, under the same locks, so
 // snapshots taken on the replica carry exact WAL anchors and replay after a
 // replica crash reproduces the same decisions. Callers (the replication
-// follower) deliver records in WAL-sequence order; the per-program cursor
+// follower) deliver records in WAL-sequence order; the partition's ingest
 // lock preserves that order against the table. traceID, when non-zero, is the
 // trace the record's originating batch was sampled into on the primary; the
 // replica closes the cross-node chain with a follower_apply span under it.
@@ -92,11 +92,11 @@ func (s *Server) ApplyReplicated(program string, events []trace.Event, traceID u
 		return ErrNotReplica
 	}
 	start := time.Now()
-	cur := s.cursorFor(program)
+	p := s.table.partition(program)
 	s.replicaMu.Lock()
 	defer s.replicaMu.Unlock()
 	s.applyMu.RLock()
-	cur.mu.Lock()
+	p.ingest.Lock()
 	var walErr error
 	var seq uint64
 	if wlog := s.cfg.WAL; wlog != nil {
@@ -105,10 +105,9 @@ func (s *Server) ApplyReplicated(program string, events []trace.Event, traceID u
 		}
 	}
 	if walErr == nil {
-		s.replicaScratch, cur.instr = s.table.ApplyBatch(program, events, cur.instr, s.replicaScratch[:0])
-		cur.events += uint64(len(events))
+		s.replicaScratch = p.apply(events, s.replicaScratch[:0])
 	}
-	cur.mu.Unlock()
+	p.ingest.Unlock()
 	s.applyMu.RUnlock()
 	if walErr != nil {
 		s.ins.walAppendErrors.Inc()
@@ -162,13 +161,8 @@ func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := CursorResponse{Program: program}
-	s.cursorsMu.Lock()
-	c := s.cursors[program]
-	s.cursorsMu.Unlock()
-	if c != nil {
-		c.mu.Lock()
-		resp.Instr, resp.Events = c.instr, c.events
-		c.mu.Unlock()
+	if p := s.table.lookup(program); p != nil {
+		resp.Instr, resp.Events = p.cursor()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, resp)

@@ -11,12 +11,12 @@ import (
 )
 
 // newReplicaServer builds a read-only replica over its own WAL directory.
-func newReplicaServer(t *testing.T, shards int) (*Server, *Client) {
+func newReplicaServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	env := newWALEnv(t, shards)
+	env := newWALEnv(t)
 	l := env.openLog(t, wal.SyncAlways)
 	t.Cleanup(func() { l.Close() })
-	return newTestServer(t, Config{Shards: shards, SnapshotDir: env.snapDir, WAL: l, Replica: true})
+	return newTestServer(t, Config{SnapshotDir: env.snapDir, WAL: l, Replica: true})
 }
 
 // TestReplicaRejectsWrites pins the read-only contract on every write
@@ -24,7 +24,7 @@ func newReplicaServer(t *testing.T, shards int) (*Server, *Client) {
 // code, reads keep working, and the mode is visible in /v1/info and
 // /metrics.
 func TestReplicaRejectsWrites(t *testing.T) {
-	s, c := newReplicaServer(t, 4)
+	s, c := newReplicaServer(t)
 
 	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(10, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ingest on a replica: %v, want ErrReadOnly", err)
@@ -68,9 +68,9 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	batches := []walBatch{
 		{"gzip", 400, 1}, {"vpr", 300, 2}, {"gzip", 500, 3}, {"mcf", 200, 4},
 	}
-	control, _ := controlState(t, 4, batches, len(batches))
+	control, _ := controlState(t, batches, len(batches))
 
-	s, c := newReplicaServer(t, 4)
+	s, c := newReplicaServer(t)
 	var total uint64
 	for _, b := range batches {
 		if err := s.ApplyReplicated(b.program, synthEvents(b.n, b.seed), 0); err != nil {
@@ -129,7 +129,7 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 // TestPromoteRunsSealFunc pins the ordering contract: the seal hook runs
 // while the server is still read-only, and its sequence lands in the result.
 func TestPromoteRunsSealFunc(t *testing.T) {
-	s, _ := newReplicaServer(t, 2)
+	s, _ := newReplicaServer(t)
 	sealed := false
 	s.SetSealFunc(func() (uint64, error) {
 		if !s.ReadOnly() {
@@ -150,7 +150,7 @@ func TestPromoteRunsSealFunc(t *testing.T) {
 // TestPromoteOnPrimary pins that a daemon that never was a replica rejects
 // promotion.
 func TestPromoteOnPrimary(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 2})
+	s, _ := newTestServer(t, Config{})
 	if _, err := s.Promote(); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("Promote on a primary: %v, want ErrNotReplica", err)
 	}
@@ -160,7 +160,7 @@ func TestPromoteOnPrimary(t *testing.T) {
 // snapshot/restore cycle: a recovered daemon reports the same cursor the
 // crashed one acknowledged.
 func TestReplicaCursorSurvivesSnapshotRestore(t *testing.T) {
-	env := newWALEnv(t, 4)
+	env := newWALEnv(t)
 	l := env.openLog(t, wal.SyncAlways)
 	s, c := env.newServer(t, l)
 	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(123, 5)); err != nil {

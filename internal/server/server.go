@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,8 +46,9 @@ import (
 //	  the framing diagnostic (server.BatchTruncatedError).
 //	  Concurrent batches for the same program serialize (the cursor defines
 //	  the program's event order); different programs proceed in parallel.
-//	  The body is fully read and decoded *before* the program cursor is
-//	  taken, so a slow client cannot stall other ingesters for its program.
+//	  The body is fully read and decoded *before* the program's ingest lock
+//	  is taken, so a slow client cannot stall other ingesters for its
+//	  program.
 //
 //	  An optional params=<hex hash> query pins the request to a controller
 //	  parameter hash (see ParamsHash); a mismatch is rejected with 409
@@ -100,10 +100,10 @@ const TraceHeader = "X-Reactive-Trace"
 
 // Config configures a Server.
 type Config struct {
-	// Params are the reactive-controller parameters every table entry is
+	// Params are the reactive-controller parameters every table unit is
 	// created with.
 	Params core.Params
-	// Policy is the registered policy name every table entry runs ("" =
+	// Policy is the registered policy name every table unit runs ("" =
 	// core.PolicyReactive). The policy is mixed into the params hash
 	// (ParamsPolicyHash), so clients pinned to one policy's decisions are
 	// rejected by a daemon running another. The name must be registered
@@ -114,8 +114,6 @@ type Config struct {
 	// means all of them. Ingest and decide requests for an unserved kind are
 	// rejected with the unsupported_kind code.
 	Kinds []trace.Kind
-	// Shards is the lock-stripe count (default 16).
-	Shards int
 	// SnapshotDir, when non-empty, enables snapshot/restore.
 	SnapshotDir string
 	// WAL, when non-nil, is the write-ahead event log: every ingested frame
@@ -148,9 +146,6 @@ type Server struct {
 	// kinds is the served-kind mask, indexed by trace.Kind.
 	kinds [trace.KindCount]bool
 
-	cursorsMu sync.Mutex
-	cursors   map[string]*cursor
-
 	reg *obs.Registry
 	ins serverInstruments
 
@@ -168,8 +163,8 @@ type Server struct {
 	promoteMu sync.Mutex
 	sealFn    func() (uint64, error)
 	// replicaMu serializes ApplyReplicated's use of replicaScratch (shipped
-	// records already arrive in per-connection order; the cursor lock, not
-	// this one, is the ordering guarantee).
+	// records already arrive in per-connection order; the partition's
+	// ingest lock, not this one, is the ordering guarantee).
 	replicaMu      sync.Mutex
 	replicaScratch []byte
 
@@ -177,32 +172,16 @@ type Server struct {
 	// snapshot capture (write side): a snapshot's WAL anchor is taken while
 	// no batch is between its WAL append and its table apply, so every
 	// record below the anchor is fully applied and none above it is. Lock
-	// order: applyMu before cursorsMu before cursor.mu.
+	// order: applyMu before a partition's ingest lock before its state lock.
 	applyMu sync.RWMutex
 	// restoredWALSeq is the WAL anchor of the snapshot RestoreFromDisk
 	// loaded (0 when none): the sequence number replay resumes from.
 	restoredWALSeq uint64
 }
 
-// cursor is one program's ingest position: the cumulative dynamic
-// instruction count and the number of events applied. Holding mu across a
-// whole batch serializes same-program batches, preserving the event order the
-// controller's latency model needs. The event count is what failover clients
-// resume from: after promoting a replica, /v1/cursor tells them exactly how
-// many of their events survived, so they re-send from there and nothing is
-// double-applied.
-type cursor struct {
-	mu     sync.Mutex
-	instr  uint64
-	events uint64
-}
-
 // New returns a server with an empty table.
 func New(cfg Config) *Server {
-	if cfg.Shards < 1 {
-		cfg.Shards = 16
-	}
-	table, err := NewTablePolicy(cfg.Params, cfg.Shards, cfg.Policy)
+	table, err := NewTablePolicy(cfg.Params, 0, cfg.Policy)
 	if err != nil {
 		// Config.Policy documents the contract: validate the name before
 		// constructing a server.
@@ -213,7 +192,6 @@ func New(cfg Config) *Server {
 		table:      table,
 		start:      time.Now(),
 		paramsHash: ParamsPolicyHash(cfg.Params, cfg.Policy),
-		cursors:    make(map[string]*cursor),
 		reg:        obs.NewRegistry(),
 	}
 	if len(cfg.Kinds) == 0 {
@@ -257,7 +235,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Table returns the underlying sharded table (tests and tooling).
+// Table returns the underlying table (tests and tooling).
 func (s *Server) Table() *Table { return s.table }
 
 // ServesKind reports whether the daemon serves the speculation kind.
@@ -289,18 +267,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// cursorFor returns program's cursor, creating it on first sight.
-func (s *Server) cursorFor(program string) *cursor {
-	s.cursorsMu.Lock()
-	defer s.cursorsMu.Unlock()
-	c := s.cursors[program]
-	if c == nil {
-		c = &cursor{}
-		s.cursors[program] = c
-	}
-	return c
 }
 
 // BeginDrain makes subsequent ingest and snapshot requests fail with 503
@@ -529,12 +495,13 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 	}()
 
 	// Stage 1 — read + validate, no locks held. The whole body is consumed
-	// into pooled buffers before the program cursor is taken, so a client
-	// trickling bytes over a slow socket cannot stall other ingesters for
-	// the same program the way the old decode-under-lock loop could. Frames
-	// are validated (same accept/reject set and diagnostics as decoding) but
-	// kept as raw payload bytes: the WAL splices them in verbatim and
-	// ApplyFrame decodes them in place, so no []trace.Event is materialized.
+	// into pooled buffers before the program's ingest lock is taken, so a
+	// client trickling bytes over a slow socket cannot stall other
+	// ingesters for the same program the way the old decode-under-lock loop
+	// could. Frames are validated (same accept/reject set and diagnostics as
+	// decoding) but kept as raw payload bytes: the WAL splices them in
+	// verbatim and the partition's apply decodes them in place, so no
+	// []trace.Event is materialized.
 	decodeStart := time.Now()
 	var truncated error
 	if sc.fr == nil {
@@ -570,15 +537,15 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 	decodeDur := time.Since(decodeStart)
 
 	// Stage 2 — log, then ordered apply. The WAL append runs under the same
-	// cursor lock as the apply so a program's WAL record order is exactly
-	// its apply order (replay reproduces the same decisions), and one Commit
-	// covers the whole batch. Only the controller updates and the WAL append
-	// run under the lock, batched per frame so the table can amortize
-	// hashing and shard locking across each frame's events.
+	// partition ingest lock as the apply so a program's WAL record order is
+	// exactly its apply order (replay reproduces the same decisions), and
+	// one Commit covers the whole batch. Deciders are not held up meanwhile:
+	// they take only the partition's state lock, which each frame's apply
+	// holds for that frame alone.
 	applyStart := time.Now()
-	cur := s.cursorFor(program)
+	p := s.table.partition(program)
 	s.applyMu.RLock()
-	cur.mu.Lock()
+	p.ingest.Lock()
 	var walErr error
 	var firstSeq uint64
 	walStart := time.Now()
@@ -617,14 +584,13 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 				continue
 			}
 			f.dstart = len(sc.decisions)
-			sc.decisions, cur.instr = s.table.ApplyFrame(program, sc.payload[f.pstart:f.pend], cur.instr, sc.decisions)
+			sc.decisions = p.applyFrame(sc.payload[f.pstart:f.pend], sc.decisions)
 			f.dend = len(sc.decisions)
 			totalEvents += f.events
 		}
-		cur.events += uint64(totalEvents)
 	}
 	tableDur := time.Since(tableStart)
-	cur.mu.Unlock()
+	p.ingest.Unlock()
 	s.applyMu.RUnlock()
 	if walErr != nil {
 		// Nothing was applied: a client that cannot durably log must not
@@ -784,27 +750,18 @@ func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
 type Health struct {
 	Status    string  `json:"status"`
 	UptimeSec float64 `json:"uptime_sec"`
-	Shards    int     `json:"shards"`
 	Programs  int     `json:"programs"`
 	Events    uint64  `json:"events"`
 	Draining  bool    `json:"draining"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	var total ShardMetrics
-	for _, m := range s.table.Metrics() {
-		total.Add(m)
-	}
-	s.cursorsMu.Lock()
-	programs := len(s.cursors)
-	s.cursorsMu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, Health{
 		Status:    "ok",
 		UptimeSec: time.Since(s.start).Seconds(),
-		Shards:    s.table.Shards(),
-		Programs:  programs,
-		Events:    total.Events,
+		Programs:  s.table.Partitions(),
+		Events:    s.table.Metrics().Events,
 		Draining:  s.draining.Load(),
 	})
 }
@@ -845,7 +802,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // SnapshotNow persists the full service state to the configured snapshot
 // directory. Concurrent calls serialize. Without a WAL, concurrent ingest
-// yields per-entry consistency (see Table.SnapshotEntries); with one, the
+// yields per-partition consistency (see Table.snapshot); with one, the
 // capture excludes in-flight apply sections (applyMu) so the snapshot's WAL
 // anchor is exact — every record below it is fully applied, none above it —
 // and segments wholly below the anchor are compacted away once the snapshot
@@ -864,9 +821,8 @@ func (s *Server) SnapshotNow() (SnapshotResult, error) {
 		Version: snapshotVersion,
 		Params:  s.cfg.Params,
 		Policy:  s.table.Policy(),
-		Cursors: s.exportCursors(),
-		Entries: s.table.SnapshotEntries(),
 	}
+	snap.Cursors, snap.Entries = s.table.snapshot()
 	if s.cfg.WAL != nil {
 		snap.WALSeq = s.cfg.WAL.NextSeq()
 		s.applyMu.Unlock()
@@ -893,20 +849,6 @@ func (s *Server) SnapshotNow() (SnapshotResult, error) {
 		WALSeq:   snap.WALSeq,
 		Path:     snapshotPath(s.cfg.SnapshotDir),
 	}, nil
-}
-
-// exportCursors copies every program's instruction cursor, sorted by name.
-func (s *Server) exportCursors() []CursorSnapshot {
-	s.cursorsMu.Lock()
-	defer s.cursorsMu.Unlock()
-	out := make([]CursorSnapshot, 0, len(s.cursors))
-	for name, c := range s.cursors {
-		c.mu.Lock()
-		out = append(out, CursorSnapshot{Program: name, Instr: c.instr, Events: c.events})
-		c.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Program < out[j].Program })
-	return out
 }
 
 // RestoreFromDisk loads the configured snapshot directory's current
@@ -940,11 +882,9 @@ func (s *Server) RestoreFromDisk() (bool, error) {
 			ErrSnapshotMismatch, snapPolicy, s.table.Policy())
 	}
 	s.table.RestoreEntries(snap.Entries)
-	s.cursorsMu.Lock()
 	for _, cs := range snap.Cursors {
-		s.cursors[cs.Program] = &cursor{instr: cs.Instr, events: cs.Events}
+		s.table.restoreCursor(cs.Program, cs.Instr, cs.Events)
 	}
-	s.cursorsMu.Unlock()
 	s.restoredWALSeq = snap.WALSeq
 	s.logf("restored snapshot: %d entries, %d programs, wal seq %d",
 		len(snap.Entries), len(snap.Cursors), snap.WALSeq)

@@ -26,12 +26,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 }
 
 func TestIngestAndDecide(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4})
+	s, c := newTestServer(t, Config{})
 	evs := synthEvents(30_000, 3)
 
 	// Ingest in several batches; decisions must match a direct table run.
 	want := func() []byte {
-		tab := NewTable(s.cfg.Params, 1)
+		tab := NewTable(s.cfg.Params)
 		var instr uint64
 		return applyAll(tab, "gzip", evs, &instr)
 	}()
@@ -76,9 +76,9 @@ func TestIngestAndDecide(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"reactived_events_total{shard=\"0\"}",
-		"reactived_misspec_rate",
-		"reactived_transitions_total",
+		"reactived_table_misspec_rate",
+		"reactived_table_transitions_total{state=\"biased\"}",
+		"reactived_table_entries 24",
 		"reactived_batch_latency_seconds{quantile=\"0.99\"}",
 		"reactived_batches_total 5",
 		"reactived_table_events_total 30000",
@@ -92,6 +92,9 @@ func TestIngestAndDecide(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(m, "shard=") {
+		t.Error("metrics still carry a shard label")
 	}
 	// Every sample line belongs to a family that declared # HELP/# TYPE
 	// metadata under the uniform reactived_ prefix (the registry's
@@ -124,7 +127,7 @@ func TestIngestAndDecide(t *testing.T) {
 // request: the corrupt frame must be rejected alone, with both good frames
 // applied.
 func TestIngestRejectsBadFramePerBatch(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4})
+	s, c := newTestServer(t, Config{})
 
 	good1 := synthEvents(500, 11)
 	good2 := synthEvents(500, 13)
@@ -177,10 +180,7 @@ func TestIngestRejectsBadFramePerBatch(t *testing.T) {
 	}
 
 	// Only the good frames' events must have been applied.
-	var total ShardMetrics
-	for _, m := range s.Table().Metrics() {
-		total.Add(m)
-	}
+	total := s.Table().Metrics()
 	if want := uint64(len(good1) + len(good2)); total.Events != want {
 		t.Fatalf("applied %d events, want %d", total.Events, want)
 	}
@@ -252,7 +252,7 @@ func TestDrainRejectsNewIngest(t *testing.T) {
 // TestConcurrentIngestDistinctPrograms checks the serving path under the
 // race detector with parallel clients.
 func TestConcurrentIngestDistinctPrograms(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 8})
+	s, c := newTestServer(t, Config{})
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -270,10 +270,7 @@ func TestConcurrentIngestDistinctPrograms(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var total ShardMetrics
-	for _, m := range s.Table().Metrics() {
-		total.Add(m)
-	}
+	total := s.Table().Metrics()
 	if want := uint64(workers * 5_000); total.Events != want {
 		t.Fatalf("total events %d, want %d", total.Events, want)
 	}

@@ -21,7 +21,7 @@ func TestSnapshotRestoreResumesIdenticalDecisions(t *testing.T) {
 	evs := synthEvents(50_000, 21)
 	half := len(evs) / 2
 
-	orig, origClient := newTestServer(t, Config{Params: params, Shards: 8, SnapshotDir: dir})
+	orig, origClient := newTestServer(t, Config{Params: params, SnapshotDir: dir})
 	firstDs, err := origClient.Ingest(context.Background(), "gzip", evs[:half])
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSnapshotRestoreResumesIdenticalDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, restoredClient := newTestServer(t, Config{Params: params, Shards: 3, SnapshotDir: dir})
+	restored, restoredClient := newTestServer(t, Config{Params: params, SnapshotDir: dir})
 	ok, err := restored.RestoreFromDisk()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestRestoreRejectsParamMismatch(t *testing.T) {
 // (entries are sorted, the layout is deterministic).
 func TestSnapshotEndpointAndDeterminism(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{SnapshotDir: dir, Shards: 8})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	if _, err := c.Ingest(context.Background(), "a", synthEvents(5000, 5)); err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,10 @@ import (
 //     session protocol starts immediately after connect.
 //
 // Decisions are byte-identical to the /v1/ingest path: both train the same
-// Table under the same per-program cursor lock — the stream side through
-// ApplyFrame, pinned bit-identical to ApplyBatch — so a program's event
-// order, and therefore its decision sequence, is independent of the
-// transport (TestStreamMatchesIngest pins this).
+// table partition under the same partition ingest lock and through the same
+// apply path, so a program's event order, and therefore its decision
+// sequence and cursor, is independent of the transport
+// (TestStreamMatchesIngest and TestCursorMatchesAcrossIngestPaths pin this).
 //
 // Backpressure is window-based: the handshake ack advertises how many event
 // frames may be in flight, each decision (or reject) frame implicitly
@@ -41,9 +41,9 @@ import (
 // Lifecycle: BeginDrain asks every session to finish its current frame,
 // write a terminal "draining" frame, and close — the client observes a typed
 // ErrDraining, never a bare connection reset. Snapshots interleave freely
-// with active sessions: the cursor and shard locks are only held per frame,
-// so SnapshotNow sees a per-entry-consistent state exactly as it does under
-// POST ingest.
+// with active sessions: the partition locks are only held per frame, so
+// SnapshotNow sees a per-partition-consistent state exactly as it does
+// under POST ingest.
 
 const (
 	// DefaultStreamWindow is the pipeline window granted when the
@@ -276,8 +276,7 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 // frame last. proto is the negotiated session protocol; at 2 every event
 // frame payload starts with a trace context; at 3 decision frames may be
 // coalesced per flags; at 4 a speculation-kind tag follows the trace
-// context, routing each frame to its own (program, kind) cursor and table
-// keys. Below proto 4 every frame is implicitly kind=branch and the session
+// context, routing each frame to its own (program, kind) table partition. Below proto 4 every frame is implicitly kind=branch and the session
 // is byte-identical to the pre-kind protocol. A frame tagged with a kind the
 // daemon does not serve is rejected per-frame ('R'), like a corrupt payload:
 // the session survives, and the other kinds' frames keep applying.
@@ -287,8 +286,8 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 // validated in place (trace.ValidateFrame — identical accept/reject set
 // and diagnostics to the old decode), the WAL splices the validated bytes
 // verbatim (wal.AppendPayload writes the same record bytes Append would),
-// and Table.ApplyFrame decodes into a pooled scratch that never escapes
-// it. Steady state allocates nothing per frame, and the payload is fully
+// and the partition's apply decodes into a pooled scratch that never
+// escapes it. Steady state allocates nothing per frame, and the payload is fully
 // consumed before the next read invalidates it.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	ss *streamSession, program string, proto, flags uint32, writeWire func([]byte) error) {
@@ -305,21 +304,18 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	}
 
 	// Session-local scratch, reused across frames: the steady-state loop
-	// allocates nothing. The cursor and table key are per (program, kind);
-	// both are resolved lazily per kind and cached for the session, so a
-	// branch-only session (every session below proto 4) pays exactly the old
-	// single-cursor cost.
+	// allocates nothing. The table partition is per (program, kind); each
+	// is resolved the first time its kind arrives and cached for the
+	// session, so no frame pays a key lookup.
 	var (
 		payloadScratch []byte
 		decisions      []byte
 		decScratch     []byte
 		payload        []byte
 		err            error
-		keys           [trace.KindCount]string
-		curs           [trace.KindCount]*cursor
+		parts          [trace.KindCount]*partition
 	)
-	keys[trace.KindBranch] = program
-	curs[trace.KindBranch] = s.cursorFor(program)
+	parts[trace.KindBranch] = s.table.partition(program)
 	for {
 		var typ byte
 		typ, payload, payloadScratch, err = trace.ReadSessionFrameBuffered(br, payloadScratch)
@@ -376,16 +372,14 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					return
 				}
 			} else {
-				key := keys[kind]
-				cur := curs[kind]
-				if cur == nil {
-					key = trace.EncodeKindProgram(kind, program)
-					cur = s.cursorFor(key)
-					keys[kind], curs[kind] = key, cur
+				p := parts[kind]
+				if p == nil {
+					p = s.table.partition(trace.EncodeKindProgram(kind, program))
+					parts[kind] = p
 				}
 				applyStart := time.Now()
 				s.applyMu.RLock()
-				cur.mu.Lock()
+				p.ingest.Lock()
 				var walErr error
 				var seq uint64
 				walStart := time.Now()
@@ -393,12 +387,12 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				var fsyncDur time.Duration
 				if wlog := s.cfg.WAL; wlog != nil {
 					// Same contract as the POST path: the frame is logged
-					// under the cursor lock (WAL order == apply order) and
+					// under the ingest lock (WAL order == apply order) and
 					// committed before it trains the table. The validated
 					// wire payload is spliced in verbatim — the record
 					// bytes match what Append would have written for the
 					// decoded events.
-					seq, walErr = wlog.AppendPayload(key, body)
+					seq, walErr = wlog.AppendPayload(p.key, body)
 					if walErr == nil {
 						s.cfg.Trace.NoteSeq(seq, traceID)
 					}
@@ -411,10 +405,10 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				walDur := fsyncStart.Sub(walStart)
 				tableStart := time.Now()
 				if walErr == nil {
-					decisions, cur.instr = s.table.ApplyFrame(key, body, cur.instr, decisions[:0])
+					decisions = p.applyFrame(body, decisions[:0])
 				}
 				tableDur := time.Since(tableStart)
-				cur.mu.Unlock()
+				p.ingest.Unlock()
 				s.applyMu.RUnlock()
 				if walErr != nil {
 					// The frame was not applied; end the session with a

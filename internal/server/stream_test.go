@@ -57,43 +57,57 @@ func runSession(t *testing.T, st *Stream, batches [][]trace.Event) []Decision {
 	return got
 }
 
-// TestStreamMatchesIngest pins the tentpole equivalence: a streaming session
-// produces byte-identical decisions to POST /v1/ingest for the same event
-// sequence, across shard counts and pipeline window sizes.
+// TestStreamMatchesIngest pins the tentpole equivalence: streaming sessions
+// produce byte-identical decisions to POST /v1/ingest for the same event
+// sequence, across pipeline window sizes and the number of partitions the
+// trace is dealt over (shards=N: N programs, one session each, all open at
+// once).
 func TestStreamMatchesIngest(t *testing.T) {
 	evs := synthEvents(20_000, 11)
 	const batch = 1000
-	for _, shards := range []int{1, 4, 16} {
-		// The POST reference for this shard count.
-		_, postC := newTestServer(t, Config{Shards: shards})
-		var want []Decision
-		for _, b := range streamBatches(evs, batch) {
-			ds, err := postC.Ingest(context.Background(), "gzip", b)
-			if err != nil {
-				t.Fatal(err)
+	for _, parts := range []int{1, 4, 16} {
+		names, streams := dealPrograms("gzip", evs, parts)
+		// The POST reference for this layout.
+		_, postC := newTestServer(t, Config{})
+		want := make([][]Decision, parts)
+		for k, name := range names {
+			for _, b := range streamBatches(streams[k], batch) {
+				ds, err := postC.Ingest(context.Background(), name, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[k] = append(want[k], ds...)
 			}
-			want = append(want, ds...)
 		}
 		for _, window := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("shards=%d/window=%d", shards, window), func(t *testing.T) {
-				_, c := newTestServer(t, Config{Shards: shards})
-				st, err := c.OpenStream(context.Background(), "gzip", WithStreamWindow(window))
-				if err != nil {
-					t.Fatalf("OpenStream: %v", err)
+			t.Run(fmt.Sprintf("shards=%d/window=%d", parts, window), func(t *testing.T) {
+				_, c := newTestServer(t, Config{})
+				sessions := make([]*Stream, parts)
+				for k, name := range names {
+					st, err := c.OpenStream(context.Background(), name, WithStreamWindow(window))
+					if err != nil {
+						t.Fatalf("OpenStream: %v", err)
+					}
+					if st.Window() != window {
+						t.Fatalf("granted window %d, requested %d", st.Window(), window)
+					}
+					sessions[k] = st
 				}
-				if st.Window() != window {
-					t.Fatalf("granted window %d, requested %d", st.Window(), window)
+				got := make([][]Decision, parts)
+				for k := range names {
+					got[k] = runSession(t, sessions[k], streamBatches(streams[k], batch))
 				}
-				got := runSession(t, st, streamBatches(evs, batch))
-				if err := st.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%d decisions, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("decision %d = %v, want %v", i, got[i], want[i])
+				for k, name := range names {
+					if err := sessions[k].Close(); err != nil {
+						t.Fatalf("Close: %v", err)
+					}
+					if len(got[k]) != len(want[k]) {
+						t.Fatalf("%s: %d decisions, want %d", name, len(got[k]), len(want[k]))
+					}
+					for i := range got[k] {
+						if got[k][i] != want[k][i] {
+							t.Fatalf("%s decision %d = %v, want %v", name, i, got[k][i], want[k][i])
+						}
 					}
 				}
 			})
@@ -104,7 +118,7 @@ func TestStreamMatchesIngest(t *testing.T) {
 // TestStreamRawTCPListener drives a session over ServeStream's raw listener
 // (no HTTP upgrade) and pins it to the same decisions as the table.
 func TestStreamRawTCPListener(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4})
+	s, c := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +144,7 @@ func TestStreamRawTCPListener(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	tab := NewTable(s.cfg.Params, 1)
+	tab := NewTable(s.cfg.Params)
 	var instr uint64
 	want := applyAll(tab, "raw", evs, &instr)
 	if len(got) != len(want) {
@@ -146,7 +160,7 @@ func TestStreamRawTCPListener(t *testing.T) {
 // TestStreamSnapshotWhileStreaming interleaves snapshots with an active
 // session: both must succeed, and the snapshot must land on disk.
 func TestStreamSnapshotWhileStreaming(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4, SnapshotDir: t.TempDir()})
+	s, c := newTestServer(t, Config{SnapshotDir: t.TempDir()})
 	st, err := c.OpenStream(context.Background(), "snap", WithStreamWindow(4))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +202,7 @@ func TestStreamSnapshotWhileStreaming(t *testing.T) {
 // an idle session with a terminal "draining" frame, so the client observes
 // ErrDraining — a typed error, not a connection reset.
 func TestStreamDrainSendsTerminal(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 2})
+	s, c := newTestServer(t, Config{})
 	st, err := c.OpenStream(context.Background(), "drain")
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +244,7 @@ func TestStreamDrainSendsTerminal(t *testing.T) {
 // TestStreamHandshakeParamMismatch pins the typed rejection of a handshake
 // whose controller-parameter hash differs from the server's.
 func TestStreamHandshakeParamMismatch(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 2})
+	_, c := newTestServer(t, Config{})
 	_, err := c.OpenStream(context.Background(), "p", WithStreamParams(0xdeadbeef))
 	if !errors.Is(err, ErrParamsMismatch) {
 		t.Fatalf("OpenStream with wrong hash = %v, want ErrParamsMismatch", err)
@@ -240,7 +254,7 @@ func TestStreamHandshakeParamMismatch(t *testing.T) {
 // TestStreamHandshakeProtoMismatch drives the raw wire format directly: a
 // handshake with an unknown protocol version gets a typed reject ack.
 func TestStreamHandshakeProtoMismatch(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 2})
+	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +286,7 @@ func TestStreamHandshakeProtoMismatch(t *testing.T) {
 // intact session frame: the server answers a reject for that frame and the
 // session keeps working.
 func TestStreamRejectFrameKeepsSession(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 2})
+	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +360,7 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 // TestStreamCloseRemovesSession checks the registry bookkeeping around a
 // clean close.
 func TestStreamCloseRemovesSession(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 2})
+	s, c := newTestServer(t, Config{})
 	st, err := c.OpenStream(context.Background(), "p")
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +394,7 @@ func TestStreamCloseRemovesSession(t *testing.T) {
 // waiting on credit. Close must discard the undelivered results, fail the
 // blocked Send, and still complete the bye handshake — not deadlock.
 func TestStreamCloseUnblocksAbandonedSession(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 2})
+	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	st, err := c.OpenStream(ctx, "p", WithStreamWindow(2))
 	if err != nil {
@@ -425,7 +439,7 @@ func TestStreamCloseUnblocksAbandonedSession(t *testing.T) {
 // pins the 101 upgrade specifically by driving a second session while the
 // first is open).
 func TestStreamUpgradeOnRealServer(t *testing.T) {
-	s := New(Config{Params: testParams(), Shards: 2})
+	s := New(Config{Params: testParams()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := Connect(ts.URL)

@@ -8,56 +8,77 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// Table is a sharded, lock-striped table of speculation-control policies
-// keyed by (program, branch ID), where the program key may carry an encoded
-// speculation kind (trace.EncodeKindProgram) — branch keys are the plain
-// program name, so every pre-kind artifact (WAL, snapshot, shard hash,
-// replication stream) is byte-identical. Each key owns an independent
-// single-unit policy, so per-unit decisions are bit-for-bit identical to an
-// in-process policy observing the same (outcome, instruction-count)
-// sequence — the striping changes only who may update concurrently, never
-// what any unit decides.
+// Table is the serving table of speculation-control policies: one partition
+// per table key, where the key is a program name, or for a non-branch kind
+// the encoded kind-program (trace.EncodeKindProgram). Branch keys are the
+// plain program name, so every pre-kind artifact (WAL, snapshot, replication
+// stream) is byte-identical.
 //
-// The policy is fixed at construction for the whole table. The default
-// (core.PolicyReactive) keeps the paper's FSM on a direct *core.Controller
-// fast path — entry.ctl non-nil — so the serving hot path pays only one
-// predictable nil check over the pre-policy build; other policies dispatch
-// through the core.Policy interface (entry.pol).
+// A partition is the paper's per-program controller (Section 3.2): it owns
+// the program's ingest cursor, its counters, and a dense store of unit
+// state. Client unit IDs are arbitrary uint32s, so a compact index maps each
+// ID onto the next free slot the first time it is seen, and unit state lives
+// in fixed-size pages indexed by slot (core.Pages): memory follows the units
+// actually touched, never the largest ID, and growth never copies a unit.
+// The reactive policy (the default) keeps every slot in one multi-branch
+// core.Controller plus a page of per-slot counters; every other policy keeps
+// one core.Policy per slot.
 //
-// Lock discipline: every key maps to exactly one shard (by hash), and all
-// access to a shard's entries happens under that shard's mutex. Events for
-// *different* keys proceed in parallel up to the shard count; events for the
-// same key serialize, which is exactly the ordering the controller needs.
+// Each slot sees exactly the (outcome, instruction-count) sequence an
+// independent in-process policy would, so per-unit decisions are
+// bit-for-bit identical to it; units never observe each other.
+//
+// Lock discipline: the table's mutex guards only the key → partition map.
+// Each partition has two locks. ingest orders the partition's batches: the
+// ingest paths hold it across WAL log → commit → apply, so log order is
+// apply order. mu guards the partition's state: apply holds it for writing
+// for one batch, and Decide, Metrics and snapshots take it for reading, so
+// a decision never waits behind a WAL append or fsync. Lock order: the
+// server's applyMu, then ingest, then mu; the table mutex is a leaf.
 type Table struct {
 	params core.Params
 	policy string
-	shards []tableShard
+
+	mu    sync.RWMutex
+	parts map[string]*partition
 }
 
-type tableShard struct {
-	mu      sync.RWMutex
-	entries map[tableKey]*tableEntry
-	metrics ShardMetrics
-	_       [64]byte // pad shards onto separate cache lines
-}
+// partition is one table key's state.
+type partition struct {
+	key    string
+	params core.Params
+	policy string
 
-type tableKey struct {
-	program string
-	branch  trace.BranchID
-}
+	// ingest orders this key's batches across log → commit → apply.
+	// Readers never take it.
+	ingest sync.Mutex
 
-// tableEntry is one (program, branch) unit. Exactly one of ctl/pol is
-// non-nil: ctl for the reactive policy (direct calls, no interface
-// dispatch), pol for everything else.
-type tableEntry struct {
-	ctl *core.Controller
-	pol core.Policy
+	// mu guards every field below.
+	mu sync.RWMutex
+	// instr and events are the ingest cursor: the cumulative dynamic
+	// instruction count and the number of events applied. Failover clients
+	// resume from events (GET /v1/cursor).
+	instr  uint64
+	events uint64
+	// index maps a client unit ID onto its dense slot.
+	index map[trace.BranchID]uint32
+	// ctl and stats hold the reactive policy's units: one controller whose
+	// branch IDs are slots, and each slot's lifetime counters (what a
+	// snapshot entry carries). Both are nil/empty for other policies.
+	ctl   *core.Controller
+	stats core.Pages[core.Stats]
+	// pols holds one policy instance per slot for non-reactive policies.
+	pols core.Pages[core.Policy]
+	// hook counts classification transitions; OnEvent only runs under mu,
+	// so the hook does too.
+	hook    func(core.Transition)
+	metrics TableMetrics
 }
 
 // NewTable returns a table running the default reactive policy with the
-// given controller parameters and shard count (clamped to at least 1).
-func NewTable(params core.Params, shards int) *Table {
-	t, err := NewTablePolicy(params, shards, core.PolicyReactive)
+// given controller parameters.
+func NewTable(params core.Params) *Table {
+	t, err := NewTablePolicy(params, 0, core.PolicyReactive)
 	if err != nil {
 		panic(err) // the reactive policy is always registered
 	}
@@ -65,155 +86,121 @@ func NewTable(params core.Params, shards int) *Table {
 }
 
 // NewTablePolicy is NewTable with a registered policy name ("" = reactive).
-func NewTablePolicy(params core.Params, shards int, policy string) (*Table, error) {
+// The int argument is unused: it was the retired sharded table's stripe
+// count and stays only so existing callers keep compiling.
+func NewTablePolicy(params core.Params, _ int, policy string) (*Table, error) {
 	if _, err := core.NewPolicy(policy, params); err != nil {
 		return nil, err
 	}
 	if policy == "" {
 		policy = core.PolicyReactive
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	t := &Table{params: params, policy: policy, shards: make([]tableShard, shards)}
-	for i := range t.shards {
-		t.shards[i].entries = make(map[tableKey]*tableEntry)
-	}
-	return t, nil
+	return &Table{params: params, policy: policy, parts: make(map[string]*partition)}, nil
 }
 
-// Params returns the controller parameters every entry is created with.
+// Params returns the controller parameters every unit is created with.
 func (t *Table) Params() core.Params { return t.params }
 
-// Policy returns the registered policy name every entry runs.
+// Policy returns the registered policy name every unit runs.
 func (t *Table) Policy() string { return t.policy }
 
-// Shards returns the shard count.
-func (t *Table) Shards() int { return len(t.shards) }
+// lookup returns key's partition, or nil when it was never created.
+func (t *Table) lookup(key string) *partition {
+	t.mu.RLock()
+	p := t.parts[key]
+	t.mu.RUnlock()
+	return p
+}
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// programHash is the FNV-1a hash of the program name: the shared prefix of
-// every (program, branch) shard hash. Apply recomputes it per event;
-// ApplyBatch computes it once per batch.
-func programHash(program string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(program); i++ {
-		h ^= uint64(program[i])
-		h *= fnvPrime64
+// partition returns key's partition, creating it on first sight.
+func (t *Table) partition(key string) *partition {
+	if p := t.lookup(key); p != nil {
+		return p
 	}
-	return h
-}
-
-// shardIndex finishes the FNV-1a hash with the branch ID bytes and maps it
-// onto a shard.
-func (t *Table) shardIndex(ph uint64, id trace.BranchID) int {
-	h := ph
-	for s := 0; s < 32; s += 8 {
-		h ^= uint64(id>>s) & 0xff
-		h *= fnvPrime64
-	}
-	return int(h % uint64(len(t.shards)))
-}
-
-// shardFor hashes (program, branch) onto a shard with FNV-1a.
-func (t *Table) shardFor(program string, id trace.BranchID) *tableShard {
-	return &t.shards[t.shardIndex(programHash(program), id)]
-}
-
-// getLocked returns the entry for key, creating it on first sight. The
-// caller holds sh.mu.
-func (sh *tableShard) getLocked(key tableKey, t *Table) *tableEntry {
-	e := sh.entries[key]
-	if e == nil {
-		e = &tableEntry{}
-		// Count classification transitions into the shard's metrics.
-		// OnEvent only runs under sh.mu, so the hook does too.
-		hook := func(tr core.Transition) {
-			sh.metrics.Transitions[tr.To]++
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := t.parts[key]
+	if p == nil {
+		p = &partition{
+			key:    key,
+			params: t.params,
+			policy: t.policy,
+			index:  make(map[trace.BranchID]uint32),
 		}
+		p.hook = p.onTransition
 		if t.policy == core.PolicyReactive {
-			e.ctl = core.New(t.params)
-			e.ctl.OnTransition = hook
-		} else {
-			pol, err := core.NewPolicy(t.policy, t.params)
-			if err != nil {
-				// NewTablePolicy validated the name; this cannot happen.
-				panic(err)
-			}
-			pol.OnTransition(hook)
-			e.pol = pol
+			p.ctl = core.New(t.params)
+			p.ctl.OnTransition = p.hook
 		}
-		sh.entries[key] = e
+		t.parts[key] = p
 	}
-	return e
+	return p
 }
 
-// applyEvent advances entry e by one event whose absolute instruction count
-// is instr and returns the decision. The caller holds the entry's shard
-// lock. The reactive fast path calls the controller directly; other
-// policies go through the interface.
-func (e *tableEntry) applyEvent(ev trace.Event, instr uint64) Decision {
-	gap := uint64(ev.Gap)
-	if ctl := e.ctl; ctl != nil {
-		ctl.AddInstrs(gap)
-		v := ctl.OnBranch(0, ev.Taken, instr)
-		st := ctl.BranchState(0)
-		dir, live := ctl.Speculating(0)
-		return Decision{Verdict: v, State: st, Dir: dir, Live: live}
+// sortedPartitions returns every partition, ordered by key.
+func (t *Table) sortedPartitions() []*partition {
+	t.mu.RLock()
+	out := make([]*partition, 0, len(t.parts))
+	for _, p := range t.parts {
+		out = append(out, p)
 	}
-	e.pol.AddInstrs(gap)
-	v, st, dir, live := e.pol.OnEvent(ev.Taken, instr)
-	return Decision{Verdict: v, State: st, Dir: dir, Live: live}
+	t.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
-// decide reads the entry's current decision without observing an event.
-func (e *tableEntry) decide() Decision {
-	if ctl := e.ctl; ctl != nil {
-		dir, live := ctl.Speculating(0)
-		return Decision{State: ctl.BranchState(0), Dir: dir, Live: live}
-	}
-	dir, live := e.pol.Speculating()
-	return Decision{State: e.pol.State(), Dir: dir, Live: live}
+// Partitions returns how many table keys have a partition.
+func (t *Table) Partitions() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.parts)
 }
 
-// export returns the entry's serializable unit state, aggregate counters,
-// and whether the unit has been touched.
-func (e *tableEntry) export() (core.BranchState, core.Stats, bool) {
-	if ctl := e.ctl; ctl != nil {
-		st, ok := ctl.ExportBranch(0)
-		return st, ctl.Stats(), ok
-	}
-	st, ok := e.pol.Export()
-	return st, e.pol.Stats(), ok
-}
-
-// restore overwrites the entry's unit state and counters.
-func (e *tableEntry) restore(st core.BranchState, stats core.Stats) {
-	if ctl := e.ctl; ctl != nil {
-		ctl.ImportBranch(0, st)
-		ctl.SetStats(stats)
+// onTransition counts one classification transition into the partition's
+// metrics and, for the reactive controller (whose transitions name the
+// slot), into the slot's lifetime counters exactly where a single-unit
+// controller would count them.
+func (p *partition) onTransition(tr core.Transition) {
+	p.metrics.Transitions[tr.To]++
+	if p.ctl == nil {
 		return
 	}
-	e.pol.Import(st)
-	e.pol.SetStats(stats)
+	st := p.stats.At(uint32(tr.Branch))
+	switch {
+	case tr.To == core.Biased:
+		st.Selections++
+	case tr.To == core.Retired:
+		st.Retirals++
+	case tr.From == core.Biased && tr.To == core.Monitor:
+		st.Evictions++
+	}
 }
 
-// Apply observes one dynamic event for program at global instruction count
-// instr (monotonically non-decreasing per program) and returns the resulting
-// decision.
-func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
-	sh := t.shardFor(program, ev.Branch)
-	sh.mu.Lock()
-	e := sh.getLocked(tableKey{program, ev.Branch}, t)
-	d := e.applyEvent(ev, instr)
-	m := &sh.metrics
+// slot returns id's dense slot, assigning the next one on first sight. The
+// caller holds p.mu for writing.
+func (p *partition) slot(id trace.BranchID) uint32 {
+	if s, ok := p.index[id]; ok {
+		return s
+	}
+	s := uint32(len(p.index))
+	p.index[id] = s
+	if p.ctl == nil {
+		pol, err := core.NewPolicy(p.policy, p.params)
+		if err != nil {
+			// NewTablePolicy validated the name; this cannot happen.
+			panic(err)
+		}
+		pol.OnTransition(p.hook)
+		*p.pols.At(s) = pol
+	}
+	return s
+}
+
+// count bumps the partition counters for one event.
+func (m *TableMetrics) count(v core.Verdict, gap uint64) {
 	m.Events++
-	m.Instrs += uint64(ev.Gap)
-	switch d.Verdict {
+	m.Instrs += gap
+	switch v {
 	case core.Correct:
 		m.Correct++
 	case core.Misspec:
@@ -221,69 +208,187 @@ func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
 	default:
 		m.NotSpec++
 	}
-	sh.mu.Unlock()
+}
+
+// countUnit bumps one reactive unit's lifetime counters for one event, as a
+// single-unit controller's Stats would.
+func countUnit(st *core.Stats, v core.Verdict, gap uint64) {
+	st.Events++
+	st.Instrs += gap
+	switch v {
+	case core.Correct:
+		st.Correct++
+	case core.Misspec:
+		st.Misspec++
+	default:
+		st.NotSpec++
+	}
+}
+
+// applyLocked observes events in order starting at instruction count instr,
+// appending one encoded decision per event to dst, and leaves the cursor
+// at the returned instruction count with the events counted. It is the one
+// apply path every ingest route ends in. The caller holds p.mu for writing.
+func (p *partition) applyLocked(evs []trace.Event, instr uint64, dst []byte) ([]byte, uint64) {
+	m := &p.metrics
+	if ctl := p.ctl; ctl != nil {
+		var (
+			last trace.BranchID
+			slot uint32
+			st   *core.Stats
+		)
+		for i, ev := range evs {
+			if i == 0 || ev.Branch != last {
+				last = ev.Branch
+				slot = p.slot(ev.Branch)
+				st = p.stats.At(slot)
+			}
+			gap := uint64(ev.Gap)
+			instr += gap
+			var d Decision
+			d.Verdict, d.State, d.Dir, d.Live = ctl.Observe(trace.BranchID(slot), ev.Taken, instr)
+			countUnit(st, d.Verdict, gap)
+			m.count(d.Verdict, gap)
+			dst = append(dst, d.Encode())
+		}
+	} else {
+		var (
+			last trace.BranchID
+			pol  core.Policy
+		)
+		for i, ev := range evs {
+			if i == 0 || ev.Branch != last {
+				last = ev.Branch
+				pol = *p.pols.Get(p.slot(ev.Branch))
+			}
+			gap := uint64(ev.Gap)
+			instr += gap
+			pol.AddInstrs(gap)
+			var d Decision
+			d.Verdict, d.State, d.Dir, d.Live = pol.OnEvent(ev.Taken, instr)
+			m.count(d.Verdict, gap)
+			dst = append(dst, d.Encode())
+		}
+	}
+	p.instr = instr
+	p.events += uint64(len(evs))
+	return dst, instr
+}
+
+// apply runs events from the partition's own cursor under one write-lock
+// hold and returns the extended dst.
+func (p *partition) apply(evs []trace.Event, dst []byte) []byte {
+	p.mu.Lock()
+	dst, _ = p.applyLocked(evs, p.instr, dst)
+	p.mu.Unlock()
+	return dst
+}
+
+// applyFrame is apply over a validated wire frame payload, decoded into a
+// pooled scratch slice before the lock is taken.
+func (p *partition) applyFrame(payload []byte, dst []byte) []byte {
+	evp := decodeFrame(payload)
+	dst = p.apply(*evp, dst)
+	releaseFrame(evp)
+	return dst
+}
+
+// cursor returns the partition's ingest position.
+func (p *partition) cursor() (instr, events uint64) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.instr, p.events
+}
+
+// decide reads unit id's current decision without observing an event.
+func (p *partition) decide(id trace.BranchID) Decision {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	s, ok := p.index[id]
+	if !ok {
+		return Decision{State: core.Monitor}
+	}
+	if ctl := p.ctl; ctl != nil {
+		dir, live := ctl.Speculating(trace.BranchID(s))
+		return Decision{State: ctl.BranchState(trace.BranchID(s)), Dir: dir, Live: live}
+	}
+	pol := *p.pols.Get(s)
+	dir, live := pol.Speculating()
+	return Decision{State: pol.State(), Dir: dir, Live: live}
+}
+
+// exportLocked appends every touched unit's snapshot entry, sorted by unit
+// ID, to out. The caller holds p.mu.
+func (p *partition) exportLocked(out []EntrySnapshot) []EntrySnapshot {
+	start := len(out)
+	for id, s := range p.index {
+		var (
+			st    core.BranchState
+			stats core.Stats
+			ok    bool
+		)
+		if p.ctl != nil {
+			st, ok = p.ctl.ExportBranch(trace.BranchID(s))
+			// Apply and restore give every slot its counters page; Get
+			// keeps this read-locked path from ever allocating.
+			if c := p.stats.Get(s); c != nil {
+				stats = *c
+			}
+		} else {
+			pol := *p.pols.Get(s)
+			st, ok = pol.Export()
+			stats = pol.Stats()
+		}
+		if ok {
+			out = append(out, EntrySnapshot{Program: p.key, Branch: id, State: st, Stats: stats})
+		}
+	}
+	mine := out[start:]
+	sort.Slice(mine, func(i, j int) bool { return mine[i].Branch < mine[j].Branch })
+	return out
+}
+
+// restoreLocked overwrites unit id's state and lifetime counters. The
+// caller holds p.mu for writing.
+func (p *partition) restoreLocked(id trace.BranchID, st core.BranchState, stats core.Stats) {
+	s := p.slot(id)
+	if p.ctl != nil {
+		p.ctl.ImportBranch(trace.BranchID(s), st)
+		*p.stats.At(s) = stats
+		return
+	}
+	pol := *p.pols.Get(s)
+	pol.Import(st)
+	pol.SetStats(stats)
+}
+
+// Apply observes one dynamic event for program at global instruction count
+// instr (the count at the event, its gap included) and returns the
+// resulting decision. It is ApplyBatch over one event.
+func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
+	evs := [1]trace.Event{ev}
+	var buf [1]byte
+	out, _ := t.ApplyBatch(program, evs[:], instr-uint64(ev.Gap), buf[:0])
+	d, _ := DecodeDecision(out[0])
 	return d
 }
 
 // ApplyBatch observes a run of dynamic events for program, in order,
 // starting at global instruction count startInstr, appending one encoded
 // decision byte per event to dst. It returns the extended slice and the
-// instruction count after the last event.
+// instruction count after the last event, which also becomes the
+// partition's cursor. The whole batch runs under one hold of the
+// partition's write lock; a run of consecutive events for the same unit
+// resolves its slot once.
 //
-// The decisions are bit-for-bit the ones len(events) successive Apply calls
-// would produce, and the shard counters advance identically
-// (TestApplyBatchMatchesApply pins both); only the constant-factor work
-// changes. The program-name hash is computed once per batch, and locks are
-// amortized one of two ways depending on batch size. Small batches (or a
-// single-shard table) walk the events in order, taking each shard's lock
-// once per run of consecutive same-shard events. Large batches switch to a
-// two-pass schedule (applySharded): pass one prefix-sums the instruction
-// cursor and counting-sorts the event indices by shard without any locks,
-// pass two visits each touched shard exactly once and applies its events
-// while holding the lock for the whole sub-batch. On branch-hopping traces
-// the run-grouped walk degenerates to a lock cycle per event; the two-pass
-// schedule bounds lock traffic at one acquisition per shard per batch.
-// Within a shard the original event order is preserved, and a branch never
-// spans shards, so every controller still sees its events in trace order at
-// the same instruction counts — the schedule is invisible in the output.
-//
-// Events for the same program must not be applied concurrently (the caller's
-// cursor lock already guarantees this on the ingest path); batches for
-// different programs may run in parallel exactly like Apply.
+// Events for the same program must not be applied concurrently from
+// different goroutines (the server's ingest lock guarantees this); batches
+// for different programs run in parallel.
 func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
-	instr := startInstr
-	if len(events) == 0 {
-		return dst, instr
-	}
-	ph := programHash(program)
-	if len(events) >= applyShardedMin && len(t.shards) > 1 && t.shardHopHeavy(ph, events) {
-		return t.applySharded(ph, program, events, startInstr, dst)
-	}
-	for i := 0; i < len(events); {
-		si := t.shardIndex(ph, events[i].Branch)
-		j := i + 1
-		for j < len(events) && t.shardIndex(ph, events[j].Branch) == si {
-			j++
-		}
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		var (
-			lastBranch trace.BranchID
-			lastEntry  *tableEntry
-		)
-		m := &sh.metrics
-		for _, ev := range events[i:j] {
-			e := lastEntry
-			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(tableKey{program, ev.Branch}, t)
-				lastBranch, lastEntry = ev.Branch, e
-			}
-			instr += uint64(ev.Gap)
-			dst = append(dst, applyOne(e, m, ev, instr))
-		}
-		sh.mu.Unlock()
-		i = j
-	}
+	p := t.partition(program)
+	p.mu.Lock()
+	dst, instr := p.applyLocked(events, startInstr, dst)
+	p.mu.Unlock()
 	return dst, instr
 }
 
@@ -294,199 +399,56 @@ func (t *Table) ApplyBatchKind(program string, kind trace.Kind, events []trace.E
 	return t.ApplyBatch(trace.EncodeKindProgram(kind, program), events, startInstr, dst)
 }
 
-// applyShardedMin is the batch size below which the two-pass shard
-// partition costs more than the run-grouped walk's locks.
-const applyShardedMin = 96
-
-// shardHopHeavy samples the head of the batch and reports whether the
-// trace hops between shards often enough that applySharded's partition
-// overhead beats the run-grouped walk's lock cycling. A run-grouped walk
-// pays one lock acquisition per same-shard run (~25ns), the two-pass
-// schedule pays a flat few ns per event for the counting sort, so the
-// crossover sits at an average run length of about four events. Loop-heavy
-// traces (long runs) stay on the run-grouped walk; branch-hopping traces
-// (the expensive case) switch. The sample can misjudge a trace whose
-// character shifts mid-batch, but both schedules produce bit-identical
-// output, so the choice only moves constant factors.
-func (t *Table) shardHopHeavy(ph uint64, events []trace.Event) bool {
-	sample := len(events)
-	if sample > 256 {
-		sample = 256
-	}
-	trans := 0
-	prev := t.shardIndex(ph, events[0].Branch)
-	for i := 1; i < sample; i++ {
-		si := t.shardIndex(ph, events[i].Branch)
-		if si != prev {
-			trans++
-			prev = si
-		}
-	}
-	return trans*4 >= sample
-}
-
-// applyScratch is the per-batch workspace applySharded needs: the absolute
-// instruction count at each event, the counting-sort of event indices by
-// shard, and the per-shard bucket cursors.
-type applyScratch struct {
-	instr  []uint64
-	shard  []int32
-	idx    []int32
-	bucket []int32
-}
-
-var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
-
-// applyOne advances entry e by one event whose absolute instruction count
-// is instr, bumps the shard counters, and returns the encoded decision.
-// The caller holds the entry's shard lock.
-func applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr uint64) byte {
-	d := e.applyEvent(ev, instr)
-	m.Events++
-	m.Instrs += uint64(ev.Gap)
-	switch d.Verdict {
-	case core.Correct:
-		m.Correct++
-	case core.Misspec:
-		m.Misspec++
-	default:
-		m.NotSpec++
-	}
-	return d.Encode()
-}
-
-// applySharded is ApplyBatch's large-batch schedule: one lock acquisition
-// per touched shard instead of one per same-shard run. Pass one walks the
-// events lock-free, recording each event's absolute instruction count (the
-// prefix sum of gaps over the whole batch — a controller only needs its own
-// events' counts, which don't depend on when other shards apply) and
-// counting-sorting the event indices by shard, preserving original order
-// within each shard. Pass two applies each shard's sub-batch under a single
-// lock hold, writing every decision byte to its event's original position.
-func (t *Table) applySharded(ph uint64, program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
-	n := len(events)
-	ns := len(t.shards)
-	sc := applyScratchPool.Get().(*applyScratch)
-	if cap(sc.instr) < n {
-		sc.instr = make([]uint64, n)
-		sc.shard = make([]int32, n)
-		sc.idx = make([]int32, n)
-	}
-	sc.instr = sc.instr[:n]
-	sc.shard = sc.shard[:n]
-	sc.idx = sc.idx[:n]
-	if cap(sc.bucket) < ns {
-		sc.bucket = make([]int32, ns)
-	}
-	sc.bucket = sc.bucket[:ns]
-	for i := range sc.bucket {
-		sc.bucket[i] = 0
-	}
-
-	instr := startInstr
-	for i := range events {
-		instr += uint64(events[i].Gap)
-		sc.instr[i] = instr
-		si := int32(t.shardIndex(ph, events[i].Branch))
-		sc.shard[i] = si
-		sc.bucket[si]++
-	}
-	off := int32(0)
-	for s := range sc.bucket {
-		c := sc.bucket[s]
-		sc.bucket[s] = off
-		off += c
-	}
-	for i := 0; i < n; i++ {
-		s := sc.shard[i]
-		sc.idx[sc.bucket[s]] = int32(i)
-		sc.bucket[s]++
-	}
-
-	// Reserve the decision bytes up front so pass two can write each one at
-	// its event's original position; after the counting sort, bucket[s] is
-	// shard s's end offset in idx.
-	base := len(dst)
-	if cap(dst) < base+n {
-		nd := make([]byte, base, base+n)
-		copy(nd, dst)
-		dst = nd
-	}
-	dst = dst[:base+n]
-	out := dst[base:]
-
-	start := int32(0)
-	for s := 0; s < ns; s++ {
-		end := sc.bucket[s]
-		if end == start {
-			continue
-		}
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		var (
-			lastBranch trace.BranchID
-			lastEntry  *tableEntry
-		)
-		m := &sh.metrics
-		for _, i := range sc.idx[start:end] {
-			ev := events[i]
-			e := lastEntry
-			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(tableKey{program, ev.Branch}, t)
-				lastBranch, lastEntry = ev.Branch, e
-			}
-			out[i] = applyOne(e, m, ev, sc.instr[i])
-		}
-		sh.mu.Unlock()
-		start = end
-	}
-	applyScratchPool.Put(sc)
-	return dst, instr
-}
-
-// frameEventsPool holds the reusable []trace.Event scratch ApplyFrame
-// decodes payloads into; steady state it allocates nothing.
+// frameEventsPool holds the reusable []trace.Event scratch frame payloads
+// decode into; steady state it allocates nothing.
 var frameEventsPool = sync.Pool{New: func() any { return new([]trace.Event) }}
 
-// ApplyFrame is ApplyBatch over a validated wire frame payload: it decodes
-// the payload into a pooled scratch slice (amortized zero-alloc — the
-// events never escape the call) and applies it as one batch, so large
-// frames get ApplyBatch's two-pass shard schedule instead of a lock cycle
-// per branch hop. The payload must already have passed trace.ValidateFrame
-// — rejection happens before any state mutates, exactly like the decoding
-// path.
-//
-// The decisions, the final instruction count, and every shard counter are
-// bit-for-bit what ApplyBatch(program, DecodeFrame(payload), ...) would
-// produce (TestApplyFrameMatchesApplyBatch pins this).
-func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, dst []byte) ([]byte, uint64) {
+// decodeFrame decodes a validated frame payload into a pooled scratch slice;
+// hand it back with releaseFrame once the events are applied.
+func decodeFrame(payload []byte) *[]trace.Event {
 	evp := frameEventsPool.Get().(*[]trace.Event)
 	evs, err := trace.DecodeFrameAppend(payload, (*evp)[:0])
 	if err != nil {
 		// Unreachable for validated payloads; fail loudly rather than
 		// apply a prefix of a corrupt frame.
 		frameEventsPool.Put(evp)
-		panic("server: ApplyFrame on unvalidated payload: " + err.Error())
+		panic("server: applying an unvalidated frame payload: " + err.Error())
 	}
-	dst, instr := t.ApplyBatch(program, evs, startInstr, dst)
-	*evp = evs[:0]
+	*evp = evs
+	return evp
+}
+
+func releaseFrame(evp *[]trace.Event) {
+	*evp = (*evp)[:0]
 	frameEventsPool.Put(evp)
+}
+
+// ApplyFrame is ApplyBatch over a validated wire frame payload: it decodes
+// the payload into a pooled scratch slice (amortized zero-alloc — the
+// events never escape the call) and applies it as one batch. The payload
+// must already have passed trace.ValidateFrame, so rejection happens before
+// any state mutates.
+//
+// The decisions, the final instruction count, and every counter are
+// bit-for-bit what ApplyBatch(program, DecodeFrame(payload), ...) would
+// produce (TestApplyFrameMatchesApplyBatch pins this).
+func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, dst []byte) ([]byte, uint64) {
+	evp := decodeFrame(payload)
+	dst, instr := t.ApplyBatch(program, *evp, startInstr, dst)
+	releaseFrame(evp)
 	return dst, instr
 }
 
 // Decide returns the unit's current classification without observing an
-// event. Unknown keys report the Monitor default (and are not created).
-// It takes only the shard's read lock, so concurrent deciders never
-// serialize against each other — only against writers on the same shard.
+// event. Unknown keys and units report the Monitor default and are not
+// created. It takes only read locks, so concurrent deciders never
+// serialize against each other, and never wait behind a WAL append.
 func (t *Table) Decide(program string, id trace.BranchID) Decision {
-	sh := t.shardFor(program, id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.entries[tableKey{program, id}]
-	if e == nil {
+	p := t.lookup(program)
+	if p == nil {
 		return Decision{State: core.Monitor}
 	}
-	return e.decide()
+	return p.decide(id)
 }
 
 // DecideKind is Decide with an explicit speculation kind.
@@ -494,22 +456,21 @@ func (t *Table) DecideKind(program string, kind trace.Kind, id trace.BranchID) D
 	return t.Decide(trace.EncodeKindProgram(kind, program), id)
 }
 
-// Metrics returns a copy of every shard's counters, indexed by shard. Like
-// Decide it is a pure read-lock path: metric scrapes never stall ingest
-// writers behind each other.
-func (t *Table) Metrics() []ShardMetrics {
-	out := make([]ShardMetrics, len(t.shards))
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		out[i] = sh.metrics
-		out[i].Entries = uint64(len(sh.entries))
-		sh.mu.RUnlock()
+// Metrics returns the whole table's counters, summed over partitions. Like
+// Decide it takes only read locks.
+func (t *Table) Metrics() TableMetrics {
+	var total TableMetrics
+	for _, p := range t.sortedPartitions() {
+		p.mu.RLock()
+		m := p.metrics
+		m.Entries = uint64(len(p.index))
+		p.mu.RUnlock()
+		total.Add(m)
 	}
-	return out
+	return total
 }
 
-// EntrySnapshot is the serialized state of one (program, branch) entry. The
+// EntrySnapshot is the serialized state of one (program, unit) entry. The
 // Program field is the table key — for non-branch kinds, the encoded
 // kind-program.
 type EntrySnapshot struct {
@@ -519,48 +480,54 @@ type EntrySnapshot struct {
 	Stats   core.Stats
 }
 
-// SnapshotEntries exports every touched entry, sorted by (program, branch)
-// so snapshots are deterministic. Each shard is captured atomically under
-// its lock; concurrent ingest interleaving between shards yields per-entry
-// (not cross-entry) consistency, which is sufficient because entries never
-// observe each other. The daemon's shutdown snapshot runs after the drain,
-// so it is fully consistent.
+// SnapshotEntries exports every touched unit, sorted by (program, unit) so
+// snapshots are deterministic.
 func (t *Table) SnapshotEntries() []EntrySnapshot {
-	var out []EntrySnapshot
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			st, stats, ok := e.export()
-			if !ok {
-				continue
-			}
-			out = append(out, EntrySnapshot{
-				Program: key.program,
-				Branch:  key.branch,
-				State:   st,
-				Stats:   stats,
-			})
-		}
-		sh.mu.Unlock()
+	_, entries := t.snapshot()
+	return entries
+}
+
+// snapshot exports every partition's cursor and touched units, each sorted
+// by key. Each partition is captured atomically under its read lock, so its
+// cursor always matches its units; concurrent ingest into other partitions
+// yields per-partition (not cross-partition) consistency, which suffices
+// because partitions never observe each other.
+func (t *Table) snapshot() ([]CursorSnapshot, []EntrySnapshot) {
+	parts := t.sortedPartitions()
+	cursors := make([]CursorSnapshot, 0, len(parts))
+	var entries []EntrySnapshot
+	for _, p := range parts {
+		p.mu.RLock()
+		cursors = append(cursors, CursorSnapshot{Program: p.key, Instr: p.instr, Events: p.events})
+		entries = p.exportLocked(entries)
+		p.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Program != out[j].Program {
-			return out[i].Program < out[j].Program
-		}
-		return out[i].Branch < out[j].Branch
-	})
-	return out
+	return cursors, entries
 }
 
 // RestoreEntries imports previously exported entries, overwriting any
-// existing state for the same keys.
+// existing state for the same units.
 func (t *Table) RestoreEntries(entries []EntrySnapshot) {
+	var p *partition
 	for _, es := range entries {
-		sh := t.shardFor(es.Program, es.Branch)
-		sh.mu.Lock()
-		e := sh.getLocked(tableKey{es.Program, es.Branch}, t)
-		e.restore(es.State, es.Stats)
-		sh.mu.Unlock()
+		if p == nil || p.key != es.Program {
+			if p != nil {
+				p.mu.Unlock()
+			}
+			p = t.partition(es.Program)
+			p.mu.Lock()
+		}
+		p.restoreLocked(es.Branch, es.State, es.Stats)
 	}
+	if p != nil {
+		p.mu.Unlock()
+	}
+}
+
+// restoreCursor sets key's ingest position.
+func (t *Table) restoreCursor(key string, instr, events uint64) {
+	p := t.partition(key)
+	p.mu.Lock()
+	p.instr, p.events = instr, events
+	p.mu.Unlock()
 }

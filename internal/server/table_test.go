@@ -57,7 +57,7 @@ func TestTableMatchesInProcessController(t *testing.T) {
 	params := testParams()
 	evs := synthEvents(60_000, 7)
 
-	tab := NewTable(params, 16)
+	tab := NewTable(params)
 	var instr uint64
 	got := applyAll(tab, "prog", evs, &instr)
 
@@ -74,11 +74,8 @@ func TestTableMatchesInProcessController(t *testing.T) {
 		}
 	}
 
-	// The aggregate shard counters must add up to the controller's stats.
-	var total ShardMetrics
-	for _, m := range tab.Metrics() {
-		total.Add(m)
-	}
+	// The table counters must add up to the controller's stats.
+	total := tab.Metrics()
 	st := ctl.Stats()
 	if total.Events != st.Events || total.Correct != st.Correct ||
 		total.Misspec != st.Misspec || total.NotSpec != st.NotSpec {
@@ -92,7 +89,7 @@ func TestTableMatchesInProcessController(t *testing.T) {
 // TestTableProgramsAreIndependent checks that the same branch ID under two
 // programs is tracked separately.
 func TestTableProgramsAreIndependent(t *testing.T) {
-	tab := NewTable(testParams(), 4)
+	tab := NewTable(testParams())
 	var instrA, instrB uint64
 	// Program A sees branch 0 always-taken; program B sees it never-taken.
 	for i := 0; i < 5000; i++ {
@@ -115,9 +112,10 @@ func TestTableProgramsAreIndependent(t *testing.T) {
 }
 
 // TestTableConcurrentApply hammers the table from many goroutines (the race
-// detector validates the striping; the totals validate no event is lost).
+// detector validates the partition locking; the totals validate no event is
+// lost).
 func TestTableConcurrentApply(t *testing.T) {
-	tab := NewTable(testParams(), 8)
+	tab := NewTable(testParams())
 	const (
 		workers = 16
 		perW    = 20_000
@@ -141,10 +139,7 @@ func TestTableConcurrentApply(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var total ShardMetrics
-	for _, m := range tab.Metrics() {
-		total.Add(m)
-	}
+	total := tab.Metrics()
 	if want := uint64(workers * perW); total.Events != want {
 		t.Fatalf("total events %d, want %d", total.Events, want)
 	}

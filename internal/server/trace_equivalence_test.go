@@ -61,7 +61,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 		t.Fatal(err)
 	}
 	defer wlog.Close()
-	s := New(Config{Params: testParams(), Shards: 4, WAL: wlog, Trace: tracer})
+	s := New(Config{Params: testParams(), WAL: wlog, Trace: tracer})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := Connect(ts.URL, WithHTTPClient(ts.Client()), WithTracer(tracer))
@@ -106,7 +106,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 		t.Fatal(err)
 	}
 	defer rlog.Close()
-	r := New(Config{Params: testParams(), Shards: 4, WAL: rlog, Replica: true, Trace: tracer})
+	r := New(Config{Params: testParams(), WAL: rlog, Replica: true, Trace: tracer})
 	for off := 0; off < len(evs); off += chunk {
 		if err := r.ApplyReplicated("repl-prog", evs[off:off+chunk], replicaTrace); err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 	for _, seed := range []uint64{3, 21} {
 		evs := synthEvents(12_000, seed)
 		// The POST reference for this seed.
-		_, postC := newTestServer(t, Config{Shards: 8})
+		_, postC := newTestServer(t, Config{})
 		var want []Decision
 		for _, b := range streamBatches(evs, batch) {
 			ds, err := postC.Ingest(context.Background(), "gzip", b)
@@ -56,7 +56,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 				opts := []StreamOption{WithStreamWindow(window), WithStreamDecisions(mode)}
 
 				t.Run(fmt.Sprintf("seed=%d/http-stream/%s/w=%d", seed, modeName, window), func(t *testing.T) {
-					_, c := newTestServer(t, Config{Shards: 8})
+					_, c := newTestServer(t, Config{})
 					st, err := c.OpenStream(context.Background(), "gzip", opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -69,7 +69,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 				})
 
 				t.Run(fmt.Sprintf("seed=%d/tcp-stream/%s/w=%d", seed, modeName, window), func(t *testing.T) {
-					s, _ := newTestServer(t, Config{Shards: 8})
+					s, _ := newTestServer(t, Config{})
 					ln, err := net.Listen("tcp", "127.0.0.1:0")
 					if err != nil {
 						t.Fatal(err)
@@ -88,7 +88,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 				})
 
 				t.Run(fmt.Sprintf("seed=%d/unix-stream/%s/w=%d", seed, modeName, window), func(t *testing.T) {
-					s, _ := newTestServer(t, Config{Shards: 8})
+					s, _ := newTestServer(t, Config{})
 					sock := filepath.Join(t.TempDir(), "s.sock")
 					ln, err := net.Listen("unix", sock)
 					if err != nil {
@@ -117,7 +117,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 // frame is a plain 'D' whose payload matches what the pre-coalescing server
 // sent.
 func TestStreamProto2InteropByteExact(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 4})
+	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestStreamProto2InteropByteExact(t *testing.T) {
 	// Two event frames; every response must be a plain 'D' frame whose
 	// payload is the exact pre-coalescing encoding.
 	evs := synthEvents(2000, 5)
-	tab := NewTable(s.cfg.Params, 1)
+	tab := NewTable(s.cfg.Params)
 	var instr uint64
 	for i, b := range streamBatches(evs, 500) {
 		payload := trace.EncodeFrameAppend(trace.AppendTraceContext(nil, 0), b)

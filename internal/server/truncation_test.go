@@ -18,7 +18,7 @@ import (
 // frames decoded before the damage must be applied and answered (status 200
 // with a trailing truncation record), not discarded behind a bare 400.
 func TestIngestTruncatedBatchPartialApply(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 4})
+	s, _ := newTestServer(t, Config{})
 	good := synthEvents(800, 21)
 
 	var body bytes.Buffer
@@ -60,10 +60,7 @@ func TestIngestTruncatedBatchPartialApply(t *testing.T) {
 	}
 
 	// Exactly the first frame's events were applied.
-	var total ShardMetrics
-	for _, m := range s.Table().Metrics() {
-		total.Add(m)
-	}
+	total := s.Table().Metrics()
 	if total.Events != uint64(len(good)) {
 		t.Fatalf("applied %d events, want %d", total.Events, len(good))
 	}
@@ -133,7 +130,7 @@ func TestClientSurfacesBatchTruncation(t *testing.T) {
 // TestIngestResponseContentLength checks the exact header value on a normal
 // batch.
 func TestIngestResponseContentLength(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 2})
+	s, _ := newTestServer(t, Config{})
 	evs := synthEvents(100, 9)
 	var body bytes.Buffer
 	if err := trace.WriteFrame(&body, evs); err != nil {

@@ -18,16 +18,11 @@ import (
 type walTestEnv struct {
 	walDir  string
 	snapDir string
-	shards  int
 }
 
-func newWALEnv(t *testing.T, shards int) *walTestEnv {
+func newWALEnv(t *testing.T) *walTestEnv {
 	t.Helper()
-	return &walTestEnv{
-		walDir:  t.TempDir(),
-		snapDir: t.TempDir(),
-		shards:  shards,
-	}
+	return &walTestEnv{walDir: t.TempDir(), snapDir: t.TempDir()}
 }
 
 // openLog opens the env's WAL with the params hash every test server uses.
@@ -47,7 +42,7 @@ func (env *walTestEnv) openLog(t *testing.T, policy wal.SyncPolicy) *wal.Log {
 // newServer builds a server over the env's directories and the given log.
 func (env *walTestEnv) newServer(t *testing.T, l *wal.Log) (*Server, *Client) {
 	t.Helper()
-	return newTestServer(t, Config{Shards: env.shards, SnapshotDir: env.snapDir, WAL: l})
+	return newTestServer(t, Config{SnapshotDir: env.snapDir, WAL: l})
 }
 
 // walBatch is one ingested batch: which program, which synthEvents seed.
@@ -60,13 +55,12 @@ type walBatch struct {
 // controlState applies batches[:upto] to a fresh WAL-less server in ingest
 // order and returns its entry snapshot — the ground truth a recovered server
 // must reproduce byte-for-byte.
-func controlState(t *testing.T, shards int, batches []walBatch, upto int) ([]EntrySnapshot, *Server) {
+func controlState(t *testing.T, batches []walBatch, upto int) ([]EntrySnapshot, *Server) {
 	t.Helper()
-	s := New(Config{Params: testParams(), Shards: shards})
+	s := New(Config{Params: testParams()})
 	var discard []byte
 	for _, b := range batches[:upto] {
-		cur := s.cursorFor(b.program)
-		discard, cur.instr = s.table.ApplyBatch(b.program, synthEvents(b.n, b.seed), cur.instr, discard[:0])
+		discard = s.table.partition(b.program).apply(synthEvents(b.n, b.seed), discard[:0])
 	}
 	return s.table.SnapshotEntries(), s
 }
@@ -76,20 +70,19 @@ func controlState(t *testing.T, shards int, batches []walBatch, upto int) ([]Ent
 // the future, not just the present.
 func futureDecisions(t *testing.T, s *Server, b walBatch) []byte {
 	t.Helper()
-	cur := s.cursorFor(b.program)
-	var out []byte
-	out, cur.instr = s.table.ApplyBatch(b.program, synthEvents(b.n, b.seed), cur.instr, nil)
-	return out
+	return s.table.partition(b.program).apply(synthEvents(b.n, b.seed), nil)
 }
 
 // TestRecoverMatchesUncrashed pins the recovery determinism contract across
-// seeds, shard counts and both transports: a server that crashes (WAL
+// seeds, partition layouts and both transports: a server that crashes (WAL
 // abandoned mid-life, no graceful shutdown path) and recovers via
 // snapshot + WAL-tail replay reaches byte-identical controller state and
 // produces byte-identical future decisions to a server that never crashed.
 func TestRecoverMatchesUncrashed(t *testing.T) {
 	for _, tc := range []struct {
-		seed     uint64
+		seed uint64
+		// shards spreads the batches over more partitions: above 1,
+		// batch i goes to "<program>-<i mod shards>".
 		shards   int
 		stream   bool
 		snapshot bool // take a snapshot mid-stream so replay starts mid-WAL
@@ -103,7 +96,7 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 		name := fmt.Sprintf("seed=%d/shards=%d/stream=%v/snapshot=%v",
 			tc.seed, tc.shards, tc.stream, tc.snapshot)
 		t.Run(name, func(t *testing.T) {
-			env := newWALEnv(t, tc.shards)
+			env := newWALEnv(t)
 			batches := []walBatch{
 				{program: "gzip", n: 4000, seed: tc.seed},
 				{program: "vpr", n: 3000, seed: tc.seed + 10},
@@ -111,6 +104,11 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 				{program: "mcf", n: 1000, seed: tc.seed + 30},
 				{program: "vpr", n: 2500, seed: tc.seed + 40},
 				{program: "gzip", n: 1500, seed: tc.seed + 50},
+			}
+			if tc.shards > 1 {
+				for i := range batches {
+					batches[i].program = fmt.Sprintf("%s-%d", batches[i].program, i%tc.shards)
+				}
 			}
 
 			// Victim: ingest, optionally snapshot mid-way, ingest more,
@@ -173,13 +171,13 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 			if !reflect.DeepEqual(got, crashed) {
 				t.Fatalf("recovered entries differ from the crashed server's")
 			}
-			control, controlSrv := controlState(t, tc.shards, batches, len(batches))
+			control, controlSrv := controlState(t, batches, len(batches))
 			if !reflect.DeepEqual(got, control) {
 				t.Fatalf("recovered entries differ from the uncrashed control")
 			}
 
 			// Byte-identical future: the next batch decides the same way.
-			next := walBatch{program: "gzip", n: 2000, seed: tc.seed + 99}
+			next := walBatch{program: batches[0].program, n: 2000, seed: tc.seed + 99}
 			gotNext := futureDecisions(t, recovered, next)
 			wantNext := futureDecisions(t, controlSrv, next)
 			if !reflect.DeepEqual(gotNext, wantNext) {
@@ -194,7 +192,7 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 // valid boundary, and the recovered state matches a control that never saw
 // the torn batch.
 func TestRecoverTornFinalRecord(t *testing.T) {
-	env := newWALEnv(t, 4)
+	env := newWALEnv(t)
 	batches := []walBatch{
 		{program: "gzip", n: 3000, seed: 11},
 		{program: "vpr", n: 2000, seed: 12},
@@ -242,7 +240,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 			res.ReplayedRecords, len(batches)-1)
 	}
 
-	control, _ := controlState(t, 4, batches, len(batches)-1)
+	control, _ := controlState(t, batches, len(batches)-1)
 	if got := recovered.table.SnapshotEntries(); !reflect.DeepEqual(got, control) {
 		t.Fatalf("recovered entries differ from a control without the torn batch")
 	}
@@ -253,7 +251,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 // writer killed mid-write) must not disturb recovery — the previous durable
 // snapshot plus the WAL tail still reproduce the full state.
 func TestRecoverSurvivesCrashMidSnapshotWrite(t *testing.T) {
-	env := newWALEnv(t, 2)
+	env := newWALEnv(t)
 	batches := []walBatch{
 		{program: "gzip", n: 3000, seed: 21},
 		{program: "vpr", n: 2000, seed: 22},
@@ -288,7 +286,7 @@ func TestRecoverSurvivesCrashMidSnapshotWrite(t *testing.T) {
 	if !res.SnapshotRestored {
 		t.Fatalf("previous durable snapshot not restored")
 	}
-	control, _ := controlState(t, 2, batches, len(batches))
+	control, _ := controlState(t, batches, len(batches))
 	if got := recovered.table.SnapshotEntries(); !reflect.DeepEqual(got, control) {
 		t.Fatalf("recovered entries differ from the uncrashed control")
 	}
@@ -298,7 +296,7 @@ func TestRecoverSurvivesCrashMidSnapshotWrite(t *testing.T) {
 // snapshot anchors past rotated segments, they are deleted, and recovery
 // from the compacted log still reproduces the full state.
 func TestCompactionAfterSnapshot(t *testing.T) {
-	env := newWALEnv(t, 2)
+	env := newWALEnv(t)
 	l, err := wal.Open(wal.Options{
 		Dir:          env.walDir,
 		ParamsHash:   ParamsHash(testParams()),
@@ -352,7 +350,7 @@ func TestCompactionAfterSnapshot(t *testing.T) {
 // mode: when the WAL cannot append, POST ingest answers 500 without training
 // the table, and a streaming session ends with a typed internal terminal.
 func TestWALAppendErrorFailsIngest(t *testing.T) {
-	env := newWALEnv(t, 2)
+	env := newWALEnv(t)
 	l := env.openLog(t, wal.SyncAlways)
 	s, c := env.newServer(t, l)
 	// Kill the log under the server: every subsequent append fails.

@@ -74,8 +74,8 @@ func ParseKind(s string) (Kind, error) {
 // formats with a kind field, the kind rides inside the program key:
 //
 //	branch      plain program name — byte-identical to every pre-kind
-//	            artifact, so existing WAL segments, snapshots, replication
-//	            peers and shard hashes are unchanged
+//	            artifact, so existing WAL segments, snapshots and
+//	            replication peers are unchanged
 //	non-branch  "\x00" + kind byte + program name
 //
 // Program names arriving over the API are rejected if they contain NUL, so

@@ -89,6 +89,30 @@ while [ ! -s "$SMOKE_DIR/addr" ]; do
 done
 ADDR=$(cat "$SMOKE_DIR/addr")
 
+# check_cursors REPORT BENCH WORKERS: after a stream smoke, the daemon's
+# /v1/cursor event counts for the run's worker programs (BENCH@0 ..
+# BENCH@WORKERS-1) must add up to the events reactiveload reported in
+# REPORT. Failover clients resume from these counts, so every ingest
+# transport has to advance them.
+json_events() {
+    sed -n 's/.*"events": *\([0-9][0-9]*\).*/\1/p' | head -n 1
+}
+check_cursors() {
+    sent=$(json_events <"$1")
+    got=0
+    w=0
+    while [ "$w" -lt "$3" ]; do
+        n=$(curl -fsS "http://$ADDR/v1/cursor?program=$2%40$w" | json_events)
+        got=$((got + ${n:-0}))
+        w=$((w + 1))
+    done
+    if [ -z "$sent" ] || [ "$got" -ne "$sent" ]; then
+        echo "cursor check ($2): daemon cursors count $got events, reactiveload reported ${sent:-none}" >&2
+        exit 1
+    fi
+    echo "cursor check ($2): $got events on $3 worker cursors"
+}
+
 "$SMOKE_DIR/reactiveload" \
     -addr "http://$ADDR" \
     -bench gzip \
@@ -129,7 +153,9 @@ echo "==> streaming-mode smoke (reactiveload -stream -verify)"
     -batch 512 \
     -stream \
     -window 8 \
-    -verify
+    -verify >"$SMOKE_DIR/load-stream-upgrade.json"
+cat "$SMOKE_DIR/load-stream-upgrade.json"
+check_cursors "$SMOKE_DIR/load-stream-upgrade.json" vpr 2
 
 # And once more over the raw -stream-addr TCP listener (no HTTP upgrade).
 "$SMOKE_DIR/reactiveload" \
@@ -139,7 +165,9 @@ echo "==> streaming-mode smoke (reactiveload -stream -verify)"
     -scale 0.02 \
     -concurrency 2 \
     -batch 512 \
-    -verify
+    -verify >"$SMOKE_DIR/load-stream-tcp.json"
+cat "$SMOKE_DIR/load-stream-tcp.json"
+check_cursors "$SMOKE_DIR/load-stream-tcp.json" mcf 2
 
 # And over the unix-domain stream listener: the daemon published its dial
 # target ("unix://<path>") through -stream-unix-file, and reactiveload's
@@ -153,7 +181,9 @@ echo "==> unix-socket smoke (reactiveload -verify over unix://)"
     -scale 0.02 \
     -concurrency 2 \
     -batch 512 \
-    -verify
+    -verify >"$SMOKE_DIR/load-stream-unix.json"
+cat "$SMOKE_DIR/load-stream-unix.json"
+check_cursors "$SMOKE_DIR/load-stream-unix.json" bzip2 2
 
 # Mixed-proto smoke: -decisions plain pins the client handshake to stream
 # proto 2 — the wire an old build speaks — so this run proves the proto-3
