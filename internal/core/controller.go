@@ -79,88 +79,43 @@ type Transition struct {
 	Counter  uint32
 }
 
-// deployment tracks the lifecycle of the speculative code generated for one
-// branch, independent of its classification state: selections become live
-// OptLatency instructions later, and evicted code stays live ("lame duck")
-// for OptLatency instructions until the repaired code is deployed.
-type deployment struct {
-	liveUntil uint64 // 0 = not live; math.MaxUint64 = live indefinitely
-	nextAt    uint64 // 0 = nothing pending
-	liveDir   bool
-	nextDir   bool
-}
-
-func (d *deployment) tick(instr uint64) {
-	if d.liveUntil != 0 && instr >= d.liveUntil {
-		d.liveUntil = 0
-	}
-	if d.nextAt != 0 && instr >= d.nextAt {
-		d.liveDir = d.nextDir
-		d.liveUntil = math.MaxUint64
-		d.nextAt = 0
-	}
-}
-
-func (d *deployment) live() bool { return d.liveUntil != 0 }
-
-// deploy schedules speculation in direction dir to become live at instant at.
-func (d *deployment) deploy(dir bool, at uint64) {
-	if at == 0 {
-		at = 1
-	}
-	d.nextDir = dir
-	d.nextAt = at
-}
-
-// undeploy schedules the currently live speculation to be removed at instant
-// at.
-func (d *deployment) undeploy(at uint64) {
-	if at == 0 {
-		at = 1
-	}
-	if d.liveUntil != 0 && at < d.liveUntil {
-		d.liveUntil = at
-	}
-	d.nextAt = 0
-}
-
-// branch is the per-branch classifier state. Fields are grouped by width so
-// the struct packs into 104 bytes: it is the bulk of a serving table's
+// branch is the reactive policy's per-branch state, one page entry of a
+// Controller. The window fields are bounded by the Table 2 periods that
+// Params.Validate caps at 2^32-1, so they are 32 bits wide: the classifier
+// state packs into 72 bytes, and with the unit's 24 bytes of lifetime
+// counters the whole entry into 96. It is the bulk of a serving table's
 // per-unit memory.
 type branch struct {
-	dep deployment
+	unit
 
-	// Monitor-state window.
-	monSeen  uint64 // executions elapsed in the current window
-	monExecs uint64 // sampled executions
-	monTaken uint64 // sampled taken outcomes
+	// Monitor-state window, each bounded by MonitorPeriod.
+	monSeen  uint32 // executions elapsed in the current window
+	monExecs uint32 // sampled executions
+	monTaken uint32 // sampled taken outcomes
 
-	// Biased-state bookkeeping.
-	cyclePos uint64 // eviction-by-sampling cycle position
-	smpExecs uint64
-	smpWrong uint64
+	// Biased-state bookkeeping: the eviction-by-sampling cycle position
+	// (bounded by SamplePeriod) and the current sample (by SampleLen).
+	cyclePos uint32
+	smpExecs uint32
+	smpWrong uint32
+	counter  uint32 // biased-state eviction counter
 
-	// Unbiased-state bookkeeping.
-	waitLeft uint64
+	// Unbiased-state bookkeeping, bounded by WaitPeriod.
+	waitLeft uint32
 
 	// Lifecycle statistics.
-	execs     uint64
-	counter   uint32 // biased-state eviction counter
 	optCount  uint32
 	evictions uint32
-
-	state      State
-	direction  bool // biased-state speculation direction
-	everBiased bool
 }
 
 // Controller is the reactive speculation controller. It tracks every static
 // branch independently (Section 3.2) and reports, for each dynamic instance,
 // whether it was covered by live speculative code and with what outcome.
 //
-// Branch state lives in fixed-size pages indexed by branch ID (Pages), so
-// IDs should be dense from zero: the serving table maps client IDs onto
-// dense slots before they reach a controller.
+// Controller is the reactive policy's Engine. Branch state lives in
+// fixed-size pages indexed by branch ID (Pages), so IDs should be dense from
+// zero: the serving table maps client IDs onto dense slots before they reach
+// a controller.
 //
 // Controller is not safe for concurrent use; drive it from one goroutine.
 type Controller struct {
@@ -211,8 +166,12 @@ func frac(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// New returns a controller with the given parameters.
+// New returns a controller with the given parameters. It panics with
+// Params.Validate's message when the parameters are invalid.
 func New(params Params) *Controller {
+	if err := params.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &Controller{params: params}
 }
 
@@ -232,36 +191,21 @@ func (c *Controller) branchFor(id trace.BranchID) *branch {
 // instant, which — because of optimization latency — may lag the branch's
 // classification state.
 func (c *Controller) OnBranch(id trace.BranchID, taken bool, instr uint64) Verdict {
-	return c.observe(id, c.branchFor(id), taken, instr)
+	return c.observe(id, c.branchFor(id), taken, 0, instr)
 }
 
-// Observe is OnBranch that also returns the branch's resulting
-// classification state and live-deployment status — everything a serving
-// decision encodes — without looking the branch up again.
-func (c *Controller) Observe(id trace.BranchID, taken bool, instr uint64) (v Verdict, st State, dir, live bool) {
+// Step is OnBranch that also accounts the gap since the previous event and
+// returns the branch's resulting classification state and live-deployment
+// status — everything a serving decision encodes — without looking the
+// branch up again.
+func (c *Controller) Step(id trace.BranchID, taken bool, gap, instr uint64) (v Verdict, st State, dir, live bool) {
 	b := c.branchFor(id)
-	v = c.observe(id, b, taken, instr)
-	return v, b.state, b.dep.liveDir, b.dep.live()
+	v = c.observe(id, b, taken, gap, instr)
+	return v, b.state, b.liveDir, b.live()
 }
 
-func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, instr uint64) Verdict {
-	b.execs++
-	c.stats.Events++
-
-	b.dep.tick(instr)
-	verdict := NotSpeculated
-	if b.dep.live() {
-		if taken == b.dep.liveDir {
-			verdict = Correct
-			c.stats.Correct++
-		} else {
-			verdict = Misspec
-			c.stats.Misspec++
-		}
-	} else {
-		c.stats.NotSpec++
-	}
-
+func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, gap, instr uint64) Verdict {
+	verdict := b.score(&c.stats, taken, gap, instr)
 	switch b.state {
 	case Monitor:
 		c.onMonitor(id, b, taken, instr)
@@ -280,22 +224,22 @@ func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
 
 func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr uint64) {
 	b.monSeen++
-	rate := uint64(c.params.MonitorSampleRate)
+	rate := c.params.MonitorSampleRate
 	if rate < 2 || b.monSeen%rate == 0 {
 		b.monExecs++
 		if taken {
 			b.monTaken++
 		}
 	}
-	if b.monSeen < c.params.MonitorPeriod {
+	if uint64(b.monSeen) < c.params.MonitorPeriod {
 		return
 	}
 	// Window complete: classify.
-	taken64, execs := b.monTaken, b.monExecs
+	taken64, execs := uint64(b.monTaken), uint64(b.monExecs)
 	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
 	if execs == 0 {
 		c.transition(id, b, Unbiased, instr)
-		b.waitLeft = c.params.WaitPeriod
+		b.waitLeft = uint32(c.params.WaitPeriod)
 		return
 	}
 	majTaken := taken64*2 >= execs
@@ -318,12 +262,12 @@ func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr u
 		b.smpExecs, b.smpWrong = 0, 0
 		b.everBiased = true
 		c.stats.Selections++
-		b.dep.deploy(majTaken, instr+c.params.OptLatency)
+		b.deploy(majTaken, instr+c.params.OptLatency)
 		c.transition(id, b, Biased, instr)
 		return
 	}
 	c.transition(id, b, Unbiased, instr)
-	b.waitLeft = c.params.WaitPeriod
+	b.waitLeft = uint32(c.params.WaitPeriod)
 }
 
 func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr uint64) {
@@ -333,7 +277,7 @@ func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr ui
 	// Only count outcomes once the speculative code is actually live and
 	// matches this classification (Section 3.1: counting starts after the
 	// optimization latency has elapsed).
-	if !b.dep.live() || b.dep.liveDir != b.direction {
+	if !b.live() || b.liveDir != b.direction {
 		return
 	}
 	if c.params.EvictBySampling {
@@ -357,14 +301,14 @@ func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr ui
 }
 
 func (c *Controller) onBiasedSampling(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	if b.cyclePos < c.params.SampleLen {
+	if uint64(b.cyclePos) < c.params.SampleLen {
 		b.smpExecs++
 		if taken != b.direction {
 			b.smpWrong++
 		}
 	}
 	b.cyclePos++
-	if b.cyclePos == c.params.SampleLen {
+	if uint64(b.cyclePos) == c.params.SampleLen {
 		// Sample complete: evaluate.
 		if b.smpExecs > 0 {
 			correct := float64(b.smpExecs-b.smpWrong) / float64(b.smpExecs)
@@ -375,7 +319,7 @@ func (c *Controller) onBiasedSampling(id trace.BranchID, b *branch, taken bool, 
 		}
 		b.smpExecs, b.smpWrong = 0, 0
 	}
-	if b.cyclePos >= c.params.SamplePeriod {
+	if uint64(b.cyclePos) >= c.params.SamplePeriod {
 		b.cyclePos = 0
 	}
 }
@@ -385,7 +329,7 @@ func (c *Controller) evict(id trace.BranchID, b *branch, instr uint64) {
 	c.stats.Evictions++
 	// The stale speculative code remains deployed until the repaired
 	// fragment is ready; its outcomes keep being counted.
-	b.dep.undeploy(instr + c.params.OptLatency)
+	b.undeploy(instr + c.params.OptLatency)
 	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
 	c.transition(id, b, Monitor, instr)
 }
@@ -414,6 +358,17 @@ func (c *Controller) transition(id trace.BranchID, b *branch, to State, instr ui
 // Stats returns the aggregate counters so far.
 func (c *Controller) Stats() Stats { return c.stats }
 
+// SetTransitionHook sets OnTransition.
+func (c *Controller) SetTransitionHook(f func(Transition)) { c.OnTransition = f }
+
+// Decide returns the branch's classification state and live deployment.
+func (c *Controller) Decide(id trace.BranchID) (st State, dir, live bool) {
+	if b := c.branches.Get(uint32(id)); b != nil {
+		return b.state, b.liveDir, b.live()
+	}
+	return Monitor, false, false
+}
+
 // BranchState returns the classification state of a branch (Monitor for a
 // branch never seen).
 func (c *Controller) BranchState(id trace.BranchID) State {
@@ -428,7 +383,7 @@ func (c *Controller) BranchState(id trace.BranchID) State {
 // this can disagree with BranchState around transitions.
 func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
 	if b := c.branches.Get(uint32(id)); b != nil {
-		return b.dep.liveDir, b.dep.live()
+		return b.liveDir, b.live()
 	}
 	return false, false
 }

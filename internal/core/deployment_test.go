@@ -60,7 +60,7 @@ func TestEvictThenReselectOverlap(t *testing.T) {
 
 // TestDeploymentPrimitive tests the deployment state machine directly.
 func TestDeploymentPrimitive(t *testing.T) {
-	var d deployment
+	var d unit
 	if d.live() {
 		t.Fatal("zero deployment is live")
 	}
@@ -85,7 +85,7 @@ func TestDeploymentPrimitive(t *testing.T) {
 }
 
 func TestDeploymentReplacePending(t *testing.T) {
-	var d deployment
+	var d unit
 	d.deploy(true, 100)
 	d.deploy(false, 150) // replaces the pending deployment
 	d.tick(120)
@@ -102,7 +102,7 @@ func TestDeploymentReplacePending(t *testing.T) {
 }
 
 func TestDeploymentUndeployCancelsPending(t *testing.T) {
-	var d deployment
+	var d unit
 	d.deploy(true, 50)
 	d.tick(50)
 	d.deploy(false, 200)
@@ -118,7 +118,7 @@ func TestDeploymentUndeployCancelsPending(t *testing.T) {
 }
 
 func TestDeploymentZeroInstantClamped(t *testing.T) {
-	var d deployment
+	var d unit
 	d.deploy(true, 0) // 0 is the "nothing pending" sentinel; must clamp
 	d.tick(1)
 	if !d.live() {

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"math"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"reactivespec/internal/trace"
+)
+
+// TestParamsValidateBoundsPeriods pins the 2^32-1 cap on every period a
+// 32-bit unit window counts, at each entry point: Validate itself,
+// NewEngine, NewPolicy and NewPolicySet return the error, and New panics
+// with its message.
+func TestParamsValidateBoundsPeriods(t *testing.T) {
+	if err := DefaultParams().Validate(); err != nil {
+		t.Fatalf("DefaultParams: %v", err)
+	}
+	edits := map[string]func(*Params){
+		"MonitorPeriod": func(p *Params) { p.MonitorPeriod = math.MaxUint32 + 1 },
+		"WaitPeriod":    func(p *Params) { p.WaitPeriod = math.MaxUint64 },
+		"SampleLen":     func(p *Params) { p.SampleLen = 1 << 40 },
+		"SamplePeriod":  func(p *Params) { p.SamplePeriod = 1 << 32 },
+	}
+	for field, edit := range edits {
+		p := testParams()
+		edit(&p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("%s: Validate = %v, want an error naming it", field, err)
+		}
+		for _, name := range PolicyNames() {
+			if _, e := NewEngine(name, p); e == nil || e.Error() != err.Error() {
+				t.Fatalf("%s: NewEngine(%s) = %v, want %v", field, name, e, err)
+			}
+			if _, e := NewPolicy(name, p); e == nil || e.Error() != err.Error() {
+				t.Fatalf("%s: NewPolicy(%s) = %v, want %v", field, name, e, err)
+			}
+			if _, e := NewPolicySet(name, p); e == nil || e.Error() != err.Error() {
+				t.Fatalf("%s: NewPolicySet(%s) = %v, want %v", field, name, e, err)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Fatalf("%s: New panicked with %v, want %q", field, r, err.Error())
+				}
+			}()
+			New(p)
+		}()
+	}
+	p := testParams()
+	p.MonitorPeriod, p.WaitPeriod, p.SampleLen, p.SamplePeriod = math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32
+	if err := p.Validate(); err != nil {
+		t.Fatalf("periods of exactly 2^32-1: %v", err)
+	}
+}
+
+// TestUnitSizes pins each policy's page entry: the state and the 24 bytes
+// of lifetime counters no state determines. A wider window field or a
+// stored copy of a derivable counter shows up here first.
+func TestUnitSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  uintptr
+		want uintptr
+	}{
+		{"unit", unsafe.Sizeof(unit{}), 56},
+		{"reactive branch", unsafe.Sizeof(branch{}), 96},
+		{"selftrain unit", unsafe.Sizeof(selfTrainUnit{}), 64},
+		{"probweight unit", unsafe.Sizeof(probWeightUnit{}), 80},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestExportDerivesCounters checks, for every policy and every unit, that
+// the counters Export derives from unit state match the ones an
+// independent tally of the same stream counts: verdicts per unit from
+// Step's return, transitions per unit from the hook.
+func TestExportDerivesCounters(t *testing.T) {
+	evs := synthEvents(60_000)
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(name, testParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[trace.BranchID]*Stats{}
+			get := func(id trace.BranchID) *Stats {
+				if want[id] == nil {
+					want[id] = &Stats{}
+				}
+				return want[id]
+			}
+			e.SetTransitionHook(func(tr Transition) {
+				s := get(tr.Branch)
+				switch {
+				case tr.To == Biased:
+					s.Selections++
+				case tr.To == Retired:
+					s.Retirals++
+				case tr.From == Biased && tr.To == Monitor:
+					s.Evictions++
+				}
+			})
+			var instr uint64
+			for _, ev := range evs {
+				gap := uint64(ev.Gap)
+				instr += gap
+				v, _, _, _ := e.Step(ev.Branch, ev.Taken, gap, instr)
+				s := get(ev.Branch)
+				s.Events++
+				s.Instrs += gap
+				switch v {
+				case Correct:
+					s.Correct++
+				case Misspec:
+					s.Misspec++
+				default:
+					s.NotSpec++
+				}
+			}
+			var transitions uint64
+			for id, w := range want {
+				st, got, ok := e.Export(id)
+				if !ok {
+					t.Fatalf("unit %d: touched but exported nothing", id)
+				}
+				if got != *w {
+					t.Fatalf("unit %d: derived %+v, counted %+v", id, got, *w)
+				}
+				transitions += w.Selections + w.Evictions + w.Retirals
+				clone, _ := NewEngine(name, testParams())
+				if err := clone.Import(id, st, got); err != nil {
+					t.Fatalf("unit %d: re-import refused: %v", id, err)
+				}
+			}
+			if transitions == 0 {
+				t.Fatal("the stream made no transitions; it pins nothing")
+			}
+		})
+	}
+}

@@ -21,11 +21,18 @@
 // ("lame duck" deployments), exactly as Section 3.1 describes.
 package core
 
+import (
+	"fmt"
+	"math"
+)
+
 // Params configures the reactive model. The zero value is not meaningful;
 // start from DefaultParams.
 type Params struct {
 	// MonitorPeriod is the number of executions observed in the monitor
-	// state before a classification decision (Table 2: 10,000).
+	// state before a classification decision (Table 2: 10,000). At most
+	// 2^32-1, like WaitPeriod, SampleLen and SamplePeriod: the windows
+	// they bound are held in 32 bits per unit (see Validate).
 	MonitorPeriod uint64
 	// SelectThreshold is the observed bias required to enter the biased
 	// state (Table 2: 99.5%).
@@ -38,7 +45,8 @@ type Params struct {
 	// CorrectStep is the counter decrement on a correct speculation (1).
 	CorrectStep uint32
 	// WaitPeriod is the number of executions spent in the unbiased state
-	// before revisiting the monitor state (Table 2: 1,000,000).
+	// before revisiting the monitor state (Table 2: 1,000,000). At most
+	// 2^32-1.
 	WaitPeriod uint64
 	// MaxOptimizations caps how many times a branch may enter the biased
 	// state; per Table 2 the model "will not optimize a sixth time" (5).
@@ -61,10 +69,12 @@ type Params struct {
 	// over SampleLen executions is measured and the branch evicted if it
 	// falls below EvictBias (Section 3.3, "evicting by sampling").
 	EvictBySampling bool
-	// SampleLen is the sampled executions per eviction-sampling cycle.
+	// SampleLen is the sampled executions per eviction-sampling cycle. At
+	// most 2^32-1.
 	SampleLen uint64
 	// SamplePeriod is the eviction-sampling cycle length (a 10% duty
-	// cycle in the paper: 1,000 of every 10,000 executions).
+	// cycle in the paper: 1,000 of every 10,000 executions). At most
+	// 2^32-1.
 	SamplePeriod uint64
 	// EvictBias is the sampled-bias floor below which a sampled branch is
 	// evicted (98%).
@@ -91,6 +101,27 @@ func DefaultParams() Params {
 		SamplePeriod:     10_000,
 		EvictBias:        0.98,
 	}
+}
+
+// Validate reports parameters no engine can run: a MonitorPeriod,
+// WaitPeriod, SampleLen or SamplePeriod above 2^32-1. Each bounds a per-unit
+// window that every engine holds in 32 bits. New panics on such parameters;
+// NewEngine, NewPolicy and NewPolicySet return the error.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"MonitorPeriod", p.MonitorPeriod},
+		{"WaitPeriod", p.WaitPeriod},
+		{"SampleLen", p.SampleLen},
+		{"SamplePeriod", p.SamplePeriod},
+	} {
+		if f.v > math.MaxUint32 {
+			return fmt.Errorf("core: %s %d exceeds 2^32-1", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Scaled returns a copy with every count-based parameter divided by k,

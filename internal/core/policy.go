@@ -1,13 +1,10 @@
 package core
 
-import "fmt"
-
 // Policy is one speculation-control policy driving a single tracked unit (a
-// static branch, load, dependence pair, …). It is the pluggable abstraction
-// behind the serving table: each unit of a table partition owns one Policy
-// instance, and the paper's reactive FSM is just the default implementation
-// (which the table runs as one multi-branch Controller per partition
-// instead).
+// static branch, load, dependence pair, …): the single-unit view of an
+// Engine. NewPolicy returns an adapter over unit 0 of the policy's engine,
+// so a Policy and the serving table, which runs one engine per partition,
+// share one implementation of every policy.
 //
 // All four speculation kinds are boolean-outcome streams, so the policy sees
 // the same shape regardless of kind: one outcome per dynamic event at a
@@ -17,30 +14,25 @@ import "fmt"
 //
 // A Policy is not safe for concurrent use; drive it from one goroutine.
 type Policy interface {
-	// OnEvent observes one dynamic event and returns the speculation
-	// verdict together with the unit's resulting classification state and
-	// live-deployment status — everything a serving decision encodes.
-	OnEvent(outcome bool, instr uint64) (v Verdict, st State, dir, live bool)
-	// AddInstrs accounts dynamic instructions (the gaps between events).
-	AddInstrs(n uint64)
+	// OnEvent observes one dynamic event, gap instructions after the
+	// previous one, and returns the speculation verdict together with the
+	// unit's resulting classification state and live-deployment status —
+	// everything a serving decision encodes.
+	OnEvent(outcome bool, gap, instr uint64) (v Verdict, st State, dir, live bool)
 	// State returns the unit's classification state.
 	State() State
 	// Speculating reports whether speculation is live and its direction.
 	Speculating() (dir, live bool)
-	// Stats returns the policy's aggregate counters.
+	// Stats returns the unit's lifetime counters.
 	Stats() Stats
-	// SetStats overwrites the aggregate counters (snapshot restore).
-	SetStats(Stats)
-	// Export returns the unit's full serializable state and whether the
-	// unit has been touched; Import restores it. Policies reuse
-	// BranchState as the common snapshot container so the serving layer's
-	// snapshot format is policy-independent.
-	Export() (BranchState, bool)
-	Import(BranchState)
-	// OnTransition registers a hook invoked after every classification
-	// change (nil unregisters). The hook must not call back into the
-	// policy.
-	OnTransition(func(Transition))
+	// Export returns the unit's full serializable state, its lifetime
+	// counters, and whether the unit has been touched; Import restores
+	// them, refusing state the policy cannot hold exactly (see
+	// Engine.Import). Policies reuse BranchState as the common snapshot
+	// container so the serving layer's snapshot format is
+	// policy-independent.
+	Export() (BranchState, Stats, bool)
+	Import(BranchState, Stats) error
 }
 
 // Registered policy names. PolicyReactive is the default everywhere a policy
@@ -75,36 +67,37 @@ func ValidPolicy(name string) bool {
 }
 
 // NewPolicy builds one unit's policy instance by registered name. The empty
-// name means PolicyReactive.
+// name means PolicyReactive. It fails on an unknown name or on parameters
+// Params.Validate rejects.
 func NewPolicy(name string, params Params) (Policy, error) {
-	switch name {
-	case "", PolicyReactive:
-		return &reactivePolicy{ctl: New(params)}, nil
-	case PolicySelfTrain:
-		return &selfTrainPolicy{params: params}, nil
-	case PolicyProbWeight:
-		return newProbWeightPolicy(params), nil
+	e, err := NewEngine(name, params)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown policy %q (want one of %v)", name, PolicyNames())
+	return unitPolicy{e}, nil
 }
 
-// reactivePolicy adapts a single-branch Controller (unit ID 0) to the Policy
-// interface. The serving table never uses it — a reactive partition drives
-// one multi-branch Controller directly — so this adapter serves the
-// non-serving users (PolicySet, experiments).
-type reactivePolicy struct {
-	ctl *Controller
+// unitPolicy adapts unit 0 of a multi-unit Engine to the Policy interface.
+type unitPolicy struct{ e Engine }
+
+func (p unitPolicy) OnEvent(outcome bool, gap, instr uint64) (Verdict, State, bool, bool) {
+	return p.e.Step(0, outcome, gap, instr)
 }
 
-func (p *reactivePolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	return p.ctl.Observe(0, outcome, instr)
+func (p unitPolicy) State() State {
+	st, _, _ := p.e.Decide(0)
+	return st
 }
 
-func (p *reactivePolicy) AddInstrs(n uint64)              { p.ctl.AddInstrs(n) }
-func (p *reactivePolicy) State() State                    { return p.ctl.BranchState(0) }
-func (p *reactivePolicy) Speculating() (bool, bool)       { return p.ctl.Speculating(0) }
-func (p *reactivePolicy) Stats() Stats                    { return p.ctl.Stats() }
-func (p *reactivePolicy) SetStats(s Stats)                { p.ctl.SetStats(s) }
-func (p *reactivePolicy) Export() (BranchState, bool)     { return p.ctl.ExportBranch(0) }
-func (p *reactivePolicy) Import(st BranchState)           { p.ctl.ImportBranch(0, st) }
-func (p *reactivePolicy) OnTransition(f func(Transition)) { p.ctl.OnTransition = f }
+func (p unitPolicy) Speculating() (dir, live bool) {
+	_, dir, live = p.e.Decide(0)
+	return dir, live
+}
+
+func (p unitPolicy) Stats() Stats {
+	_, s, _ := p.e.Export(0)
+	return s
+}
+
+func (p unitPolicy) Export() (BranchState, Stats, bool)   { return p.e.Export(0) }
+func (p unitPolicy) Import(st BranchState, s Stats) error { return p.e.Import(0, st, s) }

@@ -35,8 +35,7 @@ type policyFeeder struct {
 
 func (f *policyFeeder) event(outcome bool) (Verdict, State, bool, bool) {
 	f.instr += 5
-	f.pol.AddInstrs(5)
-	return f.pol.OnEvent(outcome, f.instr)
+	return f.pol.OnEvent(outcome, 5, f.instr)
 }
 
 func (f *policyFeeder) repeat(outcome bool, n int) (last State) {
@@ -162,14 +161,15 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				orig.event(outcomes(i))
 			}
-			st, ok := orig.pol.Export()
+			st, stats, ok := orig.pol.Export()
 			if !ok {
 				t.Fatal("a touched unit exported ok=false")
 			}
 
 			clone := &policyFeeder{pol: mustPolicy(t, name), instr: orig.instr}
-			clone.pol.Import(st)
-			clone.pol.SetStats(orig.pol.Stats())
+			if err := clone.pol.Import(st, stats); err != nil {
+				t.Fatal(err)
+			}
 			for i := 500; i < 1500; i++ {
 				v1, s1, d1, l1 := orig.event(outcomes(i))
 				v2, s2, d2, l2 := clone.event(outcomes(i))
@@ -186,7 +186,7 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 
 	// An untouched unit exports nothing, for every policy.
 	for _, name := range PolicyNames() {
-		if _, ok := mustPolicy(t, name).Export(); ok {
+		if _, _, ok := mustPolicy(t, name).Export(); ok {
 			t.Fatalf("%s: untouched unit exported ok=true", name)
 		}
 	}

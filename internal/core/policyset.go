@@ -2,117 +2,62 @@ package core
 
 import "reactivespec/internal/trace"
 
-// PolicySet drives one policy instance per tracked unit, presenting the same
-// multi-unit surface as Controller so any registered policy can ride the
-// harness, the experiments, and reactiveload's verification mirror. For the
-// reactive policy a PolicySet behaves identically to one multi-branch
-// Controller, because the controller already tracks each branch
-// independently.
+// PolicySet drives every unit of one registered policy through the policy's
+// multi-unit Engine, presenting the same surface as Controller so any
+// registered policy can ride the harness, the experiments, and
+// reactiveload's verification mirror. Units are indexed densely from zero,
+// as in Controller. For the reactive policy a PolicySet is one Controller.
 //
 // PolicySet is not safe for concurrent use.
 type PolicySet struct {
 	name   string
-	params Params
-	units  []Policy
-	stats  Stats
+	engine Engine
 }
 
-// NewPolicySet builds a per-unit policy set for the registered policy name
-// ("" = reactive).
+// NewPolicySet builds a policy set for the registered policy name ("" =
+// reactive). It fails where NewEngine does.
 func NewPolicySet(name string, params Params) (*PolicySet, error) {
-	// Validate the name once up front so unitFor can't fail later.
-	if _, err := NewPolicy(name, params); err != nil {
+	e, err := NewEngine(name, params)
+	if err != nil {
 		return nil, err
 	}
-	return &PolicySet{name: name, params: params}, nil
+	if name == "" {
+		name = PolicyReactive
+	}
+	return &PolicySet{name: name, engine: e}, nil
 }
 
 // Name returns the set's registered policy name ("" normalizes to reactive).
-func (s *PolicySet) Name() string {
-	if s.name == "" {
-		return PolicyReactive
-	}
-	return s.name
-}
-
-func (s *PolicySet) unitFor(id trace.BranchID) Policy {
-	if int(id) >= len(s.units) {
-		grown := make([]Policy, int(id)+1+int(id)/2)
-		copy(grown, s.units)
-		s.units = grown
-	}
-	if s.units[id] == nil {
-		p, err := NewPolicy(s.name, s.params)
-		if err != nil {
-			// NewPolicySet validated the name; this cannot happen.
-			panic(err)
-		}
-		s.units[id] = p
-	}
-	return s.units[id]
-}
+func (s *PolicySet) Name() string { return s.name }
 
 // OnBranch observes one dynamic event for the unit and returns the verdict —
 // the harness.Controller surface, serving every kind's boolean outcome.
 func (s *PolicySet) OnBranch(id trace.BranchID, outcome bool, instr uint64) Verdict {
-	v, _, _, _ := s.unitFor(id).OnEvent(outcome, instr)
-	s.tally(v)
+	v, _, _, _ := s.engine.Step(id, outcome, 0, instr)
 	return v
 }
 
 // OnEvent observes one dynamic event and returns the full decision tuple,
 // mirroring what a serving-table entry encodes.
 func (s *PolicySet) OnEvent(id trace.BranchID, outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	v, st, dir, live := s.unitFor(id).OnEvent(outcome, instr)
-	s.tally(v)
-	return v, st, dir, live
-}
-
-func (s *PolicySet) tally(v Verdict) {
-	s.stats.Events++
-	switch v {
-	case Correct:
-		s.stats.Correct++
-	case Misspec:
-		s.stats.Misspec++
-	default:
-		s.stats.NotSpec++
-	}
+	return s.engine.Step(id, outcome, 0, instr)
 }
 
 // AddInstrs accounts dynamic instructions at the set level.
-func (s *PolicySet) AddInstrs(n uint64) { s.stats.Instrs += n }
+func (s *PolicySet) AddInstrs(n uint64) { s.engine.AddInstrs(n) }
 
 // UnitState returns the unit's classification state (Monitor when unseen).
 func (s *PolicySet) UnitState(id trace.BranchID) State {
-	if int(id) >= len(s.units) || s.units[id] == nil {
-		return Monitor
-	}
-	return s.units[id].State()
+	st, _, _ := s.engine.Decide(id)
+	return st
 }
 
 // Speculating reports whether speculation is live for the unit and its
 // direction.
 func (s *PolicySet) Speculating(id trace.BranchID) (dir, live bool) {
-	if int(id) >= len(s.units) || s.units[id] == nil {
-		return false, false
-	}
-	return s.units[id].Speculating()
+	_, dir, live = s.engine.Decide(id)
+	return dir, live
 }
 
-// Stats returns the set-level counters. Events/Correct/Misspec/NotSpec and
-// Instrs are accounted here; the selection/eviction/retiral counters are
-// summed from the live units.
-func (s *PolicySet) Stats() Stats {
-	out := s.stats
-	for _, u := range s.units {
-		if u == nil {
-			continue
-		}
-		us := u.Stats()
-		out.Selections += us.Selections
-		out.Evictions += us.Evictions
-		out.Retirals += us.Retirals
-	}
-	return out
-}
+// Stats returns the set's aggregate counters over every unit.
+func (s *PolicySet) Stats() Stats { return s.engine.Stats() }

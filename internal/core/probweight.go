@@ -1,6 +1,12 @@
 package core
 
-// probWeightPolicy estimates the unit's outcome probability with an
+import (
+	"math"
+
+	"reactivespec/internal/trace"
+)
+
+// probWeightEngine estimates each unit's outcome probability with an
 // exponential moving average and deploys speculation while the estimate's
 // confidence stays inside a hysteresis band — a probabilistic-dataflow-style
 // weighting (after Di Pierro & Wiklicky: program behavior as a probability
@@ -19,154 +25,157 @@ package core
 // The policy is a pure function of the event sequence (the EWMA uses a fixed
 // step, never a clock or RNG), so replay and replication reproduce it
 // bit-exactly.
-type probWeightPolicy struct {
+type probWeightEngine struct {
 	params Params
-
-	state State
-	dep   deployment
-
-	est  float64 // EWMA estimate of P(outcome=true)
-	warm uint64  // events consumed of the warmup window
-
-	direction  bool
-	execs      uint64
-	optCount   uint32
-	evictions  uint32
-	everBiased bool
-
-	stats      Stats
-	transition func(Transition)
+	units  Pages[probWeightUnit]
+	hook   func(Transition)
+	stats  Stats
 }
+
+// probWeightUnit is one unit's state: 80 bytes, counters included.
+type probWeightUnit struct {
+	unit
+
+	est  estimate
+	warm uint32 // events consumed of the warmup window (≤ MonitorPeriod)
+
+	optCount  uint32
+	evictions uint32
+}
+
+// estimate is a unit's EWMA estimate of P(outcome=true): the float64 bits
+// XORed with those of the 0.5 seed, so a zeroed page entry holds a fresh
+// unit's estimate exactly.
+type estimate uint64
+
+// seedBits is math.Float64bits(0.5).
+const seedBits = 0x3fe0000000000000
+
+func (e estimate) get() float64 { return math.Float64frombits(uint64(e) ^ seedBits) }
+
+func newEstimate(v float64) estimate { return estimate(math.Float64bits(v) ^ seedBits) }
 
 // probAlpha is the EWMA step. A power of two keeps the float arithmetic
 // exactly reproducible across platforms (every operation is an IEEE-exact
 // multiply-add on well-scaled values).
 const probAlpha = 1.0 / 32
 
-func newProbWeightPolicy(params Params) *probWeightPolicy {
-	return &probWeightPolicy{params: params, est: 0.5}
+func (e *probWeightEngine) unitFor(id trace.BranchID) *probWeightUnit {
+	if u := e.units.Get(uint32(id)); u != nil {
+		return u
+	}
+	return e.units.At(uint32(id))
 }
 
-func (p *probWeightPolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	p.execs++
-	p.stats.Events++
-
-	p.dep.tick(instr)
-	verdict := NotSpeculated
-	if p.dep.live() {
-		if outcome == p.dep.liveDir {
-			verdict = Correct
-			p.stats.Correct++
-		} else {
-			verdict = Misspec
-			p.stats.Misspec++
-		}
-	} else {
-		p.stats.NotSpec++
-	}
+func (e *probWeightEngine) Step(id trace.BranchID, outcome bool, gap, instr uint64) (Verdict, State, bool, bool) {
+	u := e.unitFor(id)
+	verdict := u.score(&e.stats, outcome, gap, instr)
 
 	x := 0.0
 	if outcome {
 		x = 1.0
 	}
-	p.est += probAlpha * (x - p.est)
+	est := u.est.get()
+	est += probAlpha * (x - est)
+	u.est = newEstimate(est)
 
-	if p.state == Retired {
-		return verdict, p.state, p.dep.liveDir, p.dep.live()
+	if u.state == Retired {
+		return verdict, u.state, u.liveDir, u.live()
 	}
-	if p.warm < p.params.MonitorPeriod {
-		p.warm++
-		return verdict, p.state, p.dep.liveDir, p.dep.live()
+	if uint64(u.warm) < e.params.MonitorPeriod {
+		u.warm++
+		return verdict, u.state, u.liveDir, u.live()
 	}
 
-	dir := p.est >= 0.5
-	conf := p.est
+	dir := est >= 0.5
+	conf := est
 	if !dir {
-		conf = 1 - p.est
+		conf = 1 - est
 	}
-	switch p.state {
+	switch u.state {
 	case Monitor:
-		if conf >= p.params.SelectThreshold {
-			if p.optCount >= p.params.MaxOptimizations {
-				p.stats.Retirals++
-				p.setState(Retired, instr)
+		if conf >= e.params.SelectThreshold {
+			if u.optCount >= e.params.MaxOptimizations {
+				e.stats.Retirals++
+				e.setState(id, u, Retired, instr)
 				break
 			}
-			p.optCount++
-			p.direction = dir
-			p.everBiased = true
-			p.stats.Selections++
-			p.dep.deploy(dir, instr+p.params.OptLatency)
-			p.setState(Biased, instr)
+			u.optCount++
+			u.direction = dir
+			u.everBiased = true
+			e.stats.Selections++
+			u.deploy(dir, instr+e.params.OptLatency)
+			e.setState(id, u, Biased, instr)
 		}
 	case Biased:
-		if p.params.NoEviction {
+		if e.params.NoEviction {
 			break
 		}
 		// Like the reactive FSM, outcomes only count against the deployed
 		// code once it is actually live in the classified direction.
-		if !p.dep.live() || p.dep.liveDir != p.direction {
+		if !u.live() || u.liveDir != u.direction {
 			break
 		}
-		if dir != p.direction || conf < p.params.EvictBias {
-			p.evictions++
-			p.stats.Evictions++
-			p.dep.undeploy(instr + p.params.OptLatency)
-			p.setState(Monitor, instr)
+		if dir != u.direction || conf < e.params.EvictBias {
+			u.evictions++
+			e.stats.Evictions++
+			u.undeploy(instr + e.params.OptLatency)
+			e.setState(id, u, Monitor, instr)
 		}
 	}
-	return verdict, p.state, p.dep.liveDir, p.dep.live()
+	return verdict, u.state, u.liveDir, u.live()
 }
 
-func (p *probWeightPolicy) setState(to State, instr uint64) {
-	from := p.state
-	p.state = to
-	if p.transition != nil {
-		p.transition(Transition{From: from, To: to, Instr: instr, Exec: p.execs})
+func (e *probWeightEngine) setState(id trace.BranchID, u *probWeightUnit, to State, instr uint64) {
+	from := u.state
+	u.state = to
+	if e.hook != nil {
+		e.hook(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: u.execs})
 	}
 }
 
-func (p *probWeightPolicy) AddInstrs(n uint64)        { p.stats.Instrs += n }
-func (p *probWeightPolicy) State() State              { return p.state }
-func (p *probWeightPolicy) Speculating() (bool, bool) { return p.dep.liveDir, p.dep.live() }
-func (p *probWeightPolicy) Stats() Stats              { return p.stats }
-func (p *probWeightPolicy) SetStats(s Stats)          { p.stats = s }
-
-func (p *probWeightPolicy) Export() (BranchState, bool) {
-	if p.execs == 0 && p.state == Monitor {
-		return BranchState{}, false
+func (e *probWeightEngine) Decide(id trace.BranchID) (State, bool, bool) {
+	if u := e.units.Get(uint32(id)); u != nil {
+		return u.state, u.liveDir, u.live()
 	}
-	return BranchState{
-		State:      p.state,
-		LiveDir:    p.dep.liveDir,
-		LiveUntil:  p.dep.liveUntil,
-		NextDir:    p.dep.nextDir,
-		NextAt:     p.dep.nextAt,
-		MonSeen:    p.warm,
-		Direction:  p.direction,
-		Execs:      p.execs,
-		OptCount:   p.optCount,
-		Evictions:  p.evictions,
-		EverBiased: p.everBiased,
-		ProbEst:    p.est,
-	}, true
+	return Monitor, false, false
 }
 
-func (p *probWeightPolicy) Import(st BranchState) {
-	p.state = st.State
-	p.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
+func (e *probWeightEngine) AddInstrs(n uint64)                   { e.stats.Instrs += n }
+func (e *probWeightEngine) Stats() Stats                         { return e.stats }
+func (e *probWeightEngine) SetTransitionHook(f func(Transition)) { e.hook = f }
+
+func (e *probWeightEngine) Export(id trace.BranchID) (BranchState, Stats, bool) {
+	u := e.units.Get(uint32(id))
+	if u == nil || u.untouched() {
+		return BranchState{}, Stats{}, false
 	}
-	p.warm = st.MonSeen
-	p.direction = st.Direction
-	p.execs = st.Execs
-	p.optCount = st.OptCount
-	p.evictions = st.Evictions
-	p.everBiased = st.EverBiased
-	p.est = st.ProbEst
+	return u.export(), u.stats(uint64(u.optCount), uint64(u.evictions)), true
 }
 
-func (p *probWeightPolicy) OnTransition(f func(Transition)) { p.transition = f }
+func (u *probWeightUnit) export() BranchState {
+	st := BranchState{
+		MonSeen:   uint64(u.warm),
+		OptCount:  u.optCount,
+		Evictions: u.evictions,
+		ProbEst:   u.est.get(),
+	}
+	u.exportTo(&st)
+	return st
+}
+
+func (e *probWeightEngine) Import(id trace.BranchID, st BranchState, s Stats) error {
+	var u probWeightUnit
+	if err := u.restore(st, s, uint64(st.OptCount), uint64(st.Evictions)); err != nil {
+		return err
+	}
+	u.warm = uint32(st.MonSeen)
+	u.optCount = st.OptCount
+	u.evictions = st.Evictions
+	u.est = newEstimate(st.ProbEst)
+	if err := exact(PolicyProbWeight, u.export(), st); err != nil {
+		return err
+	}
+	*e.unitFor(id) = u
+	return nil
+}

@@ -1,123 +1,127 @@
 package core
 
-// selfTrainPolicy is the self-training profile applied online: observe the
-// unit's first MonitorPeriod events, then decide once — deploy the majority
-// direction permanently when its bias clears SelectThreshold, otherwise never
-// speculate. There is no eviction and no revisit; both outcomes are terminal.
+import "reactivespec/internal/trace"
+
+// selfTrainEngine is the self-training profile applied online: each unit
+// observes its first MonitorPeriod events, then decides once — deploy the
+// majority direction permanently when its bias clears SelectThreshold,
+// otherwise never speculate. There is no eviction and no revisit; both
+// outcomes are terminal.
 //
 // This is the open-loop baseline the paper's Figure 5 plots as
 // "self-train-99": it captures initial behavior perfectly and reacts to
 // nothing, which is exactly the contrast the reactive arcs exist to fix.
-type selfTrainPolicy struct {
+type selfTrainEngine struct {
 	params Params
-
-	state State
-	dep   deployment
-
-	monSeen  uint64
-	monTaken uint64
-
-	direction  bool
-	execs      uint64
-	everBiased bool
-
-	stats      Stats
-	transition func(Transition)
+	units  Pages[selfTrainUnit]
+	hook   func(Transition)
+	stats  Stats
 }
 
-func (p *selfTrainPolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	p.execs++
-	p.stats.Events++
+// selfTrainUnit is one unit's state: 64 bytes, counters included.
+type selfTrainUnit struct {
+	unit
 
-	p.dep.tick(instr)
-	verdict := NotSpeculated
-	if p.dep.live() {
-		if outcome == p.dep.liveDir {
-			verdict = Correct
-			p.stats.Correct++
-		} else {
-			verdict = Misspec
-			p.stats.Misspec++
-		}
-	} else {
-		p.stats.NotSpec++
+	// The training window, bounded by MonitorPeriod.
+	monSeen  uint32
+	monTaken uint32
+}
+
+func (e *selfTrainEngine) unitFor(id trace.BranchID) *selfTrainUnit {
+	if u := e.units.Get(uint32(id)); u != nil {
+		return u
 	}
+	return e.units.At(uint32(id))
+}
 
-	if p.state == Monitor {
-		p.monSeen++
+func (e *selfTrainEngine) Step(id trace.BranchID, outcome bool, gap, instr uint64) (Verdict, State, bool, bool) {
+	u := e.unitFor(id)
+	verdict := u.score(&e.stats, outcome, gap, instr)
+	if u.state == Monitor {
+		u.monSeen++
 		if outcome {
-			p.monTaken++
+			u.monTaken++
 		}
-		if p.monSeen >= p.params.MonitorPeriod {
-			p.classify(instr)
+		if uint64(u.monSeen) >= e.params.MonitorPeriod {
+			e.classify(id, u, instr)
 		}
 	}
-	return verdict, p.state, p.dep.liveDir, p.dep.live()
+	return verdict, u.state, u.liveDir, u.live()
 }
 
 // classify makes the one-shot training decision at the end of the window.
-func (p *selfTrainPolicy) classify(instr uint64) {
-	majTaken := p.monTaken*2 >= p.monSeen
-	maj := p.monTaken
+func (e *selfTrainEngine) classify(id trace.BranchID, u *selfTrainUnit, instr uint64) {
+	seen, taken := uint64(u.monSeen), uint64(u.monTaken)
+	majTaken := taken*2 >= seen
+	maj := taken
 	if !majTaken {
-		maj = p.monSeen - p.monTaken
+		maj = seen - taken
 	}
-	if float64(maj) >= p.params.SelectThreshold*float64(p.monSeen) {
-		p.direction = majTaken
-		p.everBiased = true
-		p.stats.Selections++
-		p.dep.deploy(majTaken, instr+p.params.OptLatency)
-		p.setState(Biased, instr)
+	if float64(maj) >= e.params.SelectThreshold*float64(seen) {
+		u.direction = majTaken
+		u.everBiased = true
+		e.stats.Selections++
+		u.deploy(majTaken, instr+e.params.OptLatency)
+		e.setState(id, u, Biased, instr)
 		return
 	}
-	p.setState(Unbiased, instr)
+	e.setState(id, u, Unbiased, instr)
 }
 
-func (p *selfTrainPolicy) setState(to State, instr uint64) {
-	from := p.state
-	p.state = to
-	if p.transition != nil {
-		p.transition(Transition{From: from, To: to, Instr: instr, Exec: p.execs})
+func (e *selfTrainEngine) setState(id trace.BranchID, u *selfTrainUnit, to State, instr uint64) {
+	from := u.state
+	u.state = to
+	if e.hook != nil {
+		e.hook(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: u.execs})
 	}
 }
 
-func (p *selfTrainPolicy) AddInstrs(n uint64)        { p.stats.Instrs += n }
-func (p *selfTrainPolicy) State() State              { return p.state }
-func (p *selfTrainPolicy) Speculating() (bool, bool) { return p.dep.liveDir, p.dep.live() }
-func (p *selfTrainPolicy) Stats() Stats              { return p.stats }
-func (p *selfTrainPolicy) SetStats(s Stats)          { p.stats = s }
-
-func (p *selfTrainPolicy) Export() (BranchState, bool) {
-	if p.execs == 0 && p.state == Monitor {
-		return BranchState{}, false
+func (e *selfTrainEngine) Decide(id trace.BranchID) (State, bool, bool) {
+	if u := e.units.Get(uint32(id)); u != nil {
+		return u.state, u.liveDir, u.live()
 	}
-	return BranchState{
-		State:      p.state,
-		LiveDir:    p.dep.liveDir,
-		LiveUntil:  p.dep.liveUntil,
-		NextDir:    p.dep.nextDir,
-		NextAt:     p.dep.nextAt,
-		MonSeen:    p.monSeen,
-		MonTaken:   p.monTaken,
-		Direction:  p.direction,
-		Execs:      p.execs,
-		EverBiased: p.everBiased,
-	}, true
+	return Monitor, false, false
 }
 
-func (p *selfTrainPolicy) Import(st BranchState) {
-	p.state = st.State
-	p.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
+func (e *selfTrainEngine) AddInstrs(n uint64)                   { e.stats.Instrs += n }
+func (e *selfTrainEngine) Stats() Stats                         { return e.stats }
+func (e *selfTrainEngine) SetTransitionHook(f func(Transition)) { e.hook = f }
+
+// selections is a unit's selection count. The policy selects at most once
+// and its snapshot entries never carried OptCount, so EverBiased records it.
+func selections(everBiased bool) uint64 {
+	if everBiased {
+		return 1
 	}
-	p.monSeen = st.MonSeen
-	p.monTaken = st.MonTaken
-	p.direction = st.Direction
-	p.execs = st.Execs
-	p.everBiased = st.EverBiased
+	return 0
 }
 
-func (p *selfTrainPolicy) OnTransition(f func(Transition)) { p.transition = f }
+func (e *selfTrainEngine) Export(id trace.BranchID) (BranchState, Stats, bool) {
+	u := e.units.Get(uint32(id))
+	if u == nil || u.untouched() {
+		return BranchState{}, Stats{}, false
+	}
+	return u.export(), u.stats(selections(u.everBiased), 0), true
+}
+
+func (u *selfTrainUnit) export() BranchState {
+	st := BranchState{
+		MonSeen:  uint64(u.monSeen),
+		MonTaken: uint64(u.monTaken),
+	}
+	u.exportTo(&st)
+	return st
+}
+
+func (e *selfTrainEngine) Import(id trace.BranchID, st BranchState, s Stats) error {
+	var u selfTrainUnit
+	if err := u.restore(st, s, selections(st.EverBiased), 0); err != nil {
+		return err
+	}
+	u.monSeen, u.monTaken = uint32(st.MonSeen), uint32(st.MonTaken)
+	if err := exact(PolicySelfTrain, u.export(), st); err != nil {
+		return err
+	}
+	*e.unitFor(id) = u
+	return nil
+}

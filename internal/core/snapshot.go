@@ -20,7 +20,9 @@ type BranchState struct {
 	NextDir   bool
 	NextAt    uint64
 
-	// Monitor-state window.
+	// Monitor-state window. Like CyclePos, SmpExecs, SmpWrong and
+	// WaitLeft, each is bounded by a Params period, so engines hold it in
+	// 32 bits and refuse to import a larger value.
 	MonSeen  uint64
 	MonExecs uint64
 	MonTaken uint64
@@ -47,67 +49,64 @@ type BranchState struct {
 	ProbEst float64
 }
 
-// ExportBranch returns the branch's full state and whether the branch has
-// been touched (executed at least once or moved out of the default state).
-// Untouched branches need no snapshot entry: a fresh controller already
-// behaves identically for them.
-func (c *Controller) ExportBranch(id trace.BranchID) (BranchState, bool) {
+// Export returns the branch's full state and lifetime counters, and whether
+// the branch has been touched (executed at least once or moved out of the
+// default state). Untouched branches need no snapshot entry: a fresh
+// controller already behaves identically for them.
+func (c *Controller) Export(id trace.BranchID) (BranchState, Stats, bool) {
 	b := c.branches.Get(uint32(id))
-	if b == nil || b.execs == 0 && b.state == Monitor {
-		return BranchState{}, false
+	if b == nil || b.untouched() {
+		return BranchState{}, Stats{}, false
 	}
-	return BranchState{
-		State:      b.state,
-		LiveDir:    b.dep.liveDir,
-		LiveUntil:  b.dep.liveUntil,
-		NextDir:    b.dep.nextDir,
-		NextAt:     b.dep.nextAt,
-		MonSeen:    b.monSeen,
-		MonExecs:   b.monExecs,
-		MonTaken:   b.monTaken,
-		Direction:  b.direction,
-		Counter:    b.counter,
-		CyclePos:   b.cyclePos,
-		SmpExecs:   b.smpExecs,
-		SmpWrong:   b.smpWrong,
-		WaitLeft:   b.waitLeft,
-		Execs:      b.execs,
-		OptCount:   b.optCount,
-		Evictions:  b.evictions,
-		EverBiased: b.everBiased,
-	}, true
+	return b.export(), b.stats(uint64(b.optCount), uint64(b.evictions)), true
 }
 
-// ImportBranch overwrites the branch's state with a previously exported
-// snapshot. The controller's aggregate Stats are not touched; restore them
-// separately with SetStats.
-func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) {
-	b := c.branchFor(id)
-	b.state = st.State
-	b.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
+func (b *branch) export() BranchState {
+	st := BranchState{
+		MonSeen:   uint64(b.monSeen),
+		MonExecs:  uint64(b.monExecs),
+		MonTaken:  uint64(b.monTaken),
+		Counter:   b.counter,
+		CyclePos:  uint64(b.cyclePos),
+		SmpExecs:  uint64(b.smpExecs),
+		SmpWrong:  uint64(b.smpWrong),
+		WaitLeft:  uint64(b.waitLeft),
+		OptCount:  b.optCount,
+		Evictions: b.evictions,
 	}
-	b.monSeen, b.monExecs, b.monTaken = st.MonSeen, st.MonExecs, st.MonTaken
-	b.direction = st.Direction
+	b.exportTo(&st)
+	return st
+}
+
+// Import overwrites the branch's state and lifetime counters with a
+// previously exported snapshot, or refuses with a *StateError what a branch
+// cannot hold exactly (see Engine.Import). The controller's aggregate Stats
+// are not touched; restore them separately with SetStats.
+func (c *Controller) Import(id trace.BranchID, st BranchState, s Stats) error {
+	var b branch
+	if err := b.restore(st, s, uint64(st.OptCount), uint64(st.Evictions)); err != nil {
+		return err
+	}
+	b.monSeen, b.monExecs, b.monTaken = uint32(st.MonSeen), uint32(st.MonExecs), uint32(st.MonTaken)
 	b.counter = st.Counter
-	b.cyclePos = st.CyclePos
-	b.smpExecs, b.smpWrong = st.SmpExecs, st.SmpWrong
-	b.waitLeft = st.WaitLeft
-	b.execs = st.Execs
+	b.cyclePos = uint32(st.CyclePos)
+	b.smpExecs, b.smpWrong = uint32(st.SmpExecs), uint32(st.SmpWrong)
+	b.waitLeft = uint32(st.WaitLeft)
 	b.optCount = st.OptCount
 	b.evictions = st.Evictions
-	b.everBiased = st.EverBiased
+	if err := exact(PolicyReactive, b.export(), st); err != nil {
+		return err
+	}
+	*c.branchFor(id) = b
+	return nil
 }
 
-// TouchedBranches returns the IDs of every branch ExportBranch would report
-// as touched, in increasing order.
+// TouchedBranches returns the IDs of every branch Export would report as
+// touched, in increasing order.
 func (c *Controller) TouchedBranches() []trace.BranchID {
 	var ids []trace.BranchID
 	c.branches.Each(func(i uint32, b *branch) {
-		if b.execs != 0 || b.state != Monitor {
+		if !b.untouched() {
 			ids = append(ids, trace.BranchID(i))
 		}
 	})

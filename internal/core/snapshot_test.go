@@ -64,11 +64,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("no branches touched; stream too short")
 	}
 	for _, id := range ids {
-		st, ok := orig.ExportBranch(id)
+		st, stats, ok := orig.Export(id)
 		if !ok {
-			t.Fatalf("branch %d in TouchedBranches but ExportBranch reports untouched", id)
+			t.Fatalf("branch %d in TouchedBranches but Export reports untouched", id)
 		}
-		restored.ImportBranch(id, st)
+		if err := restored.Import(id, st, stats); err != nil {
+			t.Fatal(err)
+		}
 	}
 	restored.SetStats(orig.Stats())
 	if restored.Stats() != orig.Stats() {
@@ -101,14 +103,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestExportBranchUntouched checks the untouched-branch contract.
 func TestExportBranchUntouched(t *testing.T) {
 	c := New(DefaultParams())
-	if _, ok := c.ExportBranch(5); ok {
+	if _, _, ok := c.Export(5); ok {
 		t.Fatal("unseen branch exported as touched")
 	}
 	c.OnBranch(3, true, 10)
-	if _, ok := c.ExportBranch(3); !ok {
+	if _, _, ok := c.Export(3); !ok {
 		t.Fatal("executed branch not exported")
 	}
-	if _, ok := c.ExportBranch(2); ok {
+	if _, _, ok := c.Export(2); ok {
 		t.Fatal("grown-but-unexecuted branch exported as touched")
 	}
 	ids := c.TouchedBranches()

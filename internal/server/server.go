@@ -881,7 +881,9 @@ func (s *Server) RestoreFromDisk() (bool, error) {
 		return false, fmt.Errorf("%w: snapshot policy %q vs configured %q",
 			ErrSnapshotMismatch, snapPolicy, s.table.Policy())
 	}
-	s.table.RestoreEntries(snap.Entries)
+	if err := s.table.RestoreEntries(snap.Entries); err != nil {
+		return false, err
+	}
 	for _, cs := range snap.Cursors {
 		s.table.restoreCursor(cs.Program, cs.Instr, cs.Events)
 	}

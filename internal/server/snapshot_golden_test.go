@@ -26,26 +26,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
 			s, c := newTestServer(t, Config{SnapshotDir: dir, Policy: policy})
-			ctx := context.Background()
-			if _, err := c.Ingest(ctx, "gzip", synthEvents(9000, 1)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Ingest(ctx, "vpr", synthEvents(7000, 2)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Ingest(ctx, "gzip", synthEvents(3000, 3)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.IngestKind(ctx, "gzip", trace.KindValue, synthEvents(5000, 4)); err != nil {
-				t.Fatal(err)
-			}
-			idle, err := c.OpenStream(ctx, "idle")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := idle.Close(); err != nil {
-				t.Fatal(err)
-			}
+			goldenHistory(t, c)
 			if _, err := s.SnapshotNow(); err != nil {
 				t.Fatal(err)
 			}
@@ -58,5 +39,32 @@ func TestSnapshotBytesGolden(t *testing.T) {
 				t.Fatalf("snapshot bytes sha256 %s, want %s", got, golden[policy])
 			}
 		})
+	}
+}
+
+// goldenHistory drives TestSnapshotBytesGolden's fixed ingest history
+// through c: two programs over POST /v1, one non-branch kind over /v2, and
+// a streaming session that never sends a frame.
+func goldenHistory(t *testing.T, c *Client) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := c.Ingest(ctx, "gzip", synthEvents(9000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(ctx, "vpr", synthEvents(7000, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(ctx, "gzip", synthEvents(3000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.IngestKind(ctx, "gzip", trace.KindValue, synthEvents(5000, 4)); err != nil {
+		t.Fatal(err)
+	}
+	idle, err := c.OpenStream(ctx, "idle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -20,9 +21,9 @@ import (
 // ID onto the next free slot the first time it is seen, and unit state lives
 // in fixed-size pages indexed by slot (core.Pages): memory follows the units
 // actually touched, never the largest ID, and growth never copies a unit.
-// The reactive policy (the default) keeps every slot in one multi-branch
-// core.Controller plus a page of per-slot counters; every other policy keeps
-// one core.Policy per slot.
+// Whatever the policy, a partition runs exactly one multi-unit core.Engine
+// (for the reactive default, a core.Controller) whose unit IDs are slots:
+// one page entry holds a slot's state and its lifetime counters together.
 //
 // Each slot sees exactly the (outcome, instruction-count) sequence an
 // independent in-process policy would, so per-unit decisions are
@@ -45,9 +46,7 @@ type Table struct {
 
 // partition is one table key's state.
 type partition struct {
-	key    string
-	params core.Params
-	policy string
+	key string
 
 	// ingest orders this key's batches across log → commit → apply.
 	// Readers never take it.
@@ -62,16 +61,10 @@ type partition struct {
 	events uint64
 	// index maps a client unit ID onto its dense slot.
 	index map[trace.BranchID]uint32
-	// ctl and stats hold the reactive policy's units: one controller whose
-	// branch IDs are slots, and each slot's lifetime counters (what a
-	// snapshot entry carries). Both are nil/empty for other policies.
-	ctl   *core.Controller
-	stats core.Pages[core.Stats]
-	// pols holds one policy instance per slot for non-reactive policies.
-	pols core.Pages[core.Policy]
-	// hook counts classification transitions; OnEvent only runs under mu,
-	// so the hook does too.
-	hook    func(core.Transition)
+	// engine holds every slot's unit state; its unit IDs are slots. Its
+	// transition hook counts into metrics, and runs under mu like every
+	// other engine call.
+	engine  core.Engine
 	metrics TableMetrics
 }
 
@@ -86,10 +79,11 @@ func NewTable(params core.Params) *Table {
 }
 
 // NewTablePolicy is NewTable with a registered policy name ("" = reactive).
-// The int argument is unused: it was the retired sharded table's stripe
-// count and stays only so existing callers keep compiling.
+// It fails on an unknown name or on parameters core.Params.Validate
+// rejects. The int argument is unused: it was the retired sharded table's
+// stripe count and stays only so existing callers keep compiling.
 func NewTablePolicy(params core.Params, _ int, policy string) (*Table, error) {
-	if _, err := core.NewPolicy(policy, params); err != nil {
+	if _, err := core.NewEngine(policy, params); err != nil {
 		return nil, err
 	}
 	if policy == "" {
@@ -121,17 +115,13 @@ func (t *Table) partition(key string) *partition {
 	defer t.mu.Unlock()
 	p := t.parts[key]
 	if p == nil {
-		p = &partition{
-			key:    key,
-			params: t.params,
-			policy: t.policy,
-			index:  make(map[trace.BranchID]uint32),
+		e, err := core.NewEngine(t.policy, t.params)
+		if err != nil {
+			// NewTablePolicy validated the policy and parameters.
+			panic(err)
 		}
-		p.hook = p.onTransition
-		if t.policy == core.PolicyReactive {
-			p.ctl = core.New(t.params)
-			p.ctl.OnTransition = p.hook
-		}
+		p = &partition{key: key, index: make(map[trace.BranchID]uint32), engine: e}
+		e.SetTransitionHook(p.onTransition)
 		t.parts[key] = p
 	}
 	return p
@@ -157,43 +147,20 @@ func (t *Table) Partitions() int {
 }
 
 // onTransition counts one classification transition into the partition's
-// metrics and, for the reactive controller (whose transitions name the
-// slot), into the slot's lifetime counters exactly where a single-unit
-// controller would count them.
+// metrics.
 func (p *partition) onTransition(tr core.Transition) {
 	p.metrics.Transitions[tr.To]++
-	if p.ctl == nil {
-		return
-	}
-	st := p.stats.At(uint32(tr.Branch))
-	switch {
-	case tr.To == core.Biased:
-		st.Selections++
-	case tr.To == core.Retired:
-		st.Retirals++
-	case tr.From == core.Biased && tr.To == core.Monitor:
-		st.Evictions++
-	}
 }
 
 // slot returns id's dense slot, assigning the next one on first sight. The
 // caller holds p.mu for writing.
-func (p *partition) slot(id trace.BranchID) uint32 {
-	if s, ok := p.index[id]; ok {
-		return s
+func (p *partition) slot(id trace.BranchID) trace.BranchID {
+	s, ok := p.index[id]
+	if !ok {
+		s = uint32(len(p.index))
+		p.index[id] = s
 	}
-	s := uint32(len(p.index))
-	p.index[id] = s
-	if p.ctl == nil {
-		pol, err := core.NewPolicy(p.policy, p.params)
-		if err != nil {
-			// NewTablePolicy validated the name; this cannot happen.
-			panic(err)
-		}
-		pol.OnTransition(p.hook)
-		*p.pols.At(s) = pol
-	}
-	return s
+	return trace.BranchID(s)
 }
 
 // count bumps the partition counters for one event.
@@ -210,65 +177,25 @@ func (m *TableMetrics) count(v core.Verdict, gap uint64) {
 	}
 }
 
-// countUnit bumps one reactive unit's lifetime counters for one event, as a
-// single-unit controller's Stats would.
-func countUnit(st *core.Stats, v core.Verdict, gap uint64) {
-	st.Events++
-	st.Instrs += gap
-	switch v {
-	case core.Correct:
-		st.Correct++
-	case core.Misspec:
-		st.Misspec++
-	default:
-		st.NotSpec++
-	}
-}
-
 // applyLocked observes events in order starting at instruction count instr,
 // appending one encoded decision per event to dst, and leaves the cursor
 // at the returned instruction count with the events counted. It is the one
 // apply path every ingest route ends in. The caller holds p.mu for writing.
 func (p *partition) applyLocked(evs []trace.Event, instr uint64, dst []byte) ([]byte, uint64) {
 	m := &p.metrics
-	if ctl := p.ctl; ctl != nil {
-		var (
-			last trace.BranchID
-			slot uint32
-			st   *core.Stats
-		)
-		for i, ev := range evs {
-			if i == 0 || ev.Branch != last {
-				last = ev.Branch
-				slot = p.slot(ev.Branch)
-				st = p.stats.At(slot)
-			}
-			gap := uint64(ev.Gap)
-			instr += gap
-			var d Decision
-			d.Verdict, d.State, d.Dir, d.Live = ctl.Observe(trace.BranchID(slot), ev.Taken, instr)
-			countUnit(st, d.Verdict, gap)
-			m.count(d.Verdict, gap)
-			dst = append(dst, d.Encode())
+	e := p.engine
+	var last, slot trace.BranchID
+	for i, ev := range evs {
+		if i == 0 || ev.Branch != last {
+			last = ev.Branch
+			slot = p.slot(ev.Branch)
 		}
-	} else {
-		var (
-			last trace.BranchID
-			pol  core.Policy
-		)
-		for i, ev := range evs {
-			if i == 0 || ev.Branch != last {
-				last = ev.Branch
-				pol = *p.pols.Get(p.slot(ev.Branch))
-			}
-			gap := uint64(ev.Gap)
-			instr += gap
-			pol.AddInstrs(gap)
-			var d Decision
-			d.Verdict, d.State, d.Dir, d.Live = pol.OnEvent(ev.Taken, instr)
-			m.count(d.Verdict, gap)
-			dst = append(dst, d.Encode())
-		}
+		gap := uint64(ev.Gap)
+		instr += gap
+		var d Decision
+		d.Verdict, d.State, d.Dir, d.Live = e.Step(slot, ev.Taken, gap, instr)
+		m.count(d.Verdict, gap)
+		dst = append(dst, d.Encode())
 	}
 	p.instr = instr
 	p.events += uint64(len(evs))
@@ -308,13 +235,8 @@ func (p *partition) decide(id trace.BranchID) Decision {
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
-	if ctl := p.ctl; ctl != nil {
-		dir, live := ctl.Speculating(trace.BranchID(s))
-		return Decision{State: ctl.BranchState(trace.BranchID(s)), Dir: dir, Live: live}
-	}
-	pol := *p.pols.Get(s)
-	dir, live := pol.Speculating()
-	return Decision{State: pol.State(), Dir: dir, Live: live}
+	st, dir, live := p.engine.Decide(trace.BranchID(s))
+	return Decision{State: st, Dir: dir, Live: live}
 }
 
 // exportLocked appends every touched unit's snapshot entry, sorted by unit
@@ -322,24 +244,7 @@ func (p *partition) decide(id trace.BranchID) Decision {
 func (p *partition) exportLocked(out []EntrySnapshot) []EntrySnapshot {
 	start := len(out)
 	for id, s := range p.index {
-		var (
-			st    core.BranchState
-			stats core.Stats
-			ok    bool
-		)
-		if p.ctl != nil {
-			st, ok = p.ctl.ExportBranch(trace.BranchID(s))
-			// Apply and restore give every slot its counters page; Get
-			// keeps this read-locked path from ever allocating.
-			if c := p.stats.Get(s); c != nil {
-				stats = *c
-			}
-		} else {
-			pol := *p.pols.Get(s)
-			st, ok = pol.Export()
-			stats = pol.Stats()
-		}
-		if ok {
+		if st, stats, ok := p.engine.Export(trace.BranchID(s)); ok {
 			out = append(out, EntrySnapshot{Program: p.key, Branch: id, State: st, Stats: stats})
 		}
 	}
@@ -348,18 +253,19 @@ func (p *partition) exportLocked(out []EntrySnapshot) []EntrySnapshot {
 	return out
 }
 
-// restoreLocked overwrites unit id's state and lifetime counters. The
-// caller holds p.mu for writing.
-func (p *partition) restoreLocked(id trace.BranchID, st core.BranchState, stats core.Stats) {
-	s := p.slot(id)
-	if p.ctl != nil {
-		p.ctl.ImportBranch(trace.BranchID(s), st)
-		*p.stats.At(s) = stats
-		return
+// restoreLocked overwrites unit id's state and lifetime counters, or
+// leaves the partition untouched and returns the engine's refusal of state
+// it cannot hold exactly. The caller holds p.mu for writing.
+func (p *partition) restoreLocked(id trace.BranchID, st core.BranchState, stats core.Stats) error {
+	s, known := p.index[id]
+	if !known {
+		s = uint32(len(p.index))
 	}
-	pol := *p.pols.Get(s)
-	pol.Import(st)
-	pol.SetStats(stats)
+	if err := p.engine.Import(trace.BranchID(s), st, stats); err != nil {
+		return fmt.Errorf("server: restoring unit %d of %q: %w", id, p.key, err)
+	}
+	p.index[id] = s
+	return nil
 }
 
 // Apply observes one dynamic event for program at global instruction count
@@ -506,9 +412,16 @@ func (t *Table) snapshot() ([]CursorSnapshot, []EntrySnapshot) {
 }
 
 // RestoreEntries imports previously exported entries, overwriting any
-// existing state for the same units.
-func (t *Table) RestoreEntries(entries []EntrySnapshot) {
+// existing state for the same units. It stops at the first entry the
+// policy cannot hold exactly and returns an error wrapping the engine's
+// *core.StateError; the entries before it stay imported.
+func (t *Table) RestoreEntries(entries []EntrySnapshot) error {
 	var p *partition
+	defer func() {
+		if p != nil {
+			p.mu.Unlock()
+		}
+	}()
 	for _, es := range entries {
 		if p == nil || p.key != es.Program {
 			if p != nil {
@@ -517,11 +430,11 @@ func (t *Table) RestoreEntries(entries []EntrySnapshot) {
 			p = t.partition(es.Program)
 			p.mu.Lock()
 		}
-		p.restoreLocked(es.Branch, es.State, es.Stats)
+		if err := p.restoreLocked(es.Branch, es.State, es.Stats); err != nil {
+			return err
+		}
 	}
-	if p != nil {
-		p.mu.Unlock()
-	}
+	return nil
 }
 
 // restoreCursor sets key's ingest position.

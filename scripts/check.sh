@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verification gate: static analysis, full build, the test suite
 # under the race detector (race mode exercises the hardened parallel
-# experiment drivers), and an end-to-end smoke run of the serving mode
-# (reactiveload driving an ephemeral reactived over localhost with decision
-# verification on). Run from anywhere inside the repository.
+# experiment drivers) and without it, and an end-to-end smoke run of the
+# serving mode (reactiveload driving an ephemeral reactived over localhost
+# with decision verification on). Run from anywhere inside the repository.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,6 +16,11 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# The plain build runs what race builds skip: the zero-allocation pins
+# (TestApplyFrameSteadyStateAllocs) only hold without the race detector.
+echo "==> go test ./..."
+go test ./...
 
 # The observability layer and the server share lock-striped and atomic hot
 # paths; run them twice under the race detector so scheduling-order races
