@@ -106,6 +106,48 @@ func BenchmarkTableApplyBatchKind(b *testing.B) {
 	b.ReportMetric(float64(len(evs)), "events/op")
 }
 
+// BenchmarkTableWarmup measures first touch, the cost of a daemon warming
+// up on a new program: each op builds a fresh table and applies one event
+// to each of 64k units in 1024-event batches, so every event assigns a
+// slot. dense0 numbers the units from 0 and offset from 2^31, both resolved
+// by the slot index's direct window; hostile sends random uint32 IDs, which
+// the index's map takes. It reports ns/event.
+func BenchmarkTableWarmup(b *testing.B) {
+	const units, batch = 1 << 16, 1024
+	x := uint64(0x2545f4914f6cdd1d)
+	for _, c := range []struct {
+		name string
+		id   func(i int) trace.BranchID
+	}{
+		{"dense0", func(i int) trace.BranchID { return trace.BranchID(i) }},
+		{"offset", func(i int) trace.BranchID { return trace.BranchID(1<<31 + i) }},
+		{"hostile", func(int) trace.BranchID {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return trace.BranchID(x)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			evs := make([]trace.Event, units)
+			for i := range evs {
+				evs[i] = trace.Event{Branch: c.id(i), Taken: i%3 != 0, Gap: uint32(1 + i%7)}
+			}
+			dst := make([]byte, 0, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := server.NewTable(core.DefaultParams().Scaled(10))
+				var instr uint64
+				for off := 0; off < len(evs); off += batch {
+					dst, instr = t.ApplyBatch("warm", evs[off:min(off+batch, len(evs))], instr, dst[:0])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
+	}
+}
+
 // discardResponseWriter is an http.ResponseWriter that throws the response
 // away, so the handler benchmark measures the handler, not a recorder.
 type discardResponseWriter struct{ h http.Header }

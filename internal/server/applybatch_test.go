@@ -114,71 +114,98 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // in-process oracle for every registered policy: for each partition, the
 // decisions, the touched units' exported state, and their lifetime
 // counters equal what one core.PolicySet (one policy instance per unit)
-// computes from the same events. IDs are sparse and include the extremes,
-// so the dense slot index is exercised, not just identity slots.
+// computes from the same events. In the sparse case, IDs include the
+// extremes, so the dense slot index is exercised, not just identity slots;
+// in the window+map case one partition's first ID anchors the slot index's
+// window so that some IDs resolve in the window and the rest in its map.
 func TestBatchPathMatchesPolicySet(t *testing.T) {
-	ids := []trace.BranchID{0, 1, 7, 4096, 1 << 20, 1<<32 - 1, 31337, 2}
-	evs := synthEvents(40_000, 5)
-	for i := range evs {
-		evs[i].Branch = ids[int(evs[i].Branch)%len(ids)]
+	window := make([]trace.BranchID, 0, 24)
+	for id := trace.BranchID(1000); id < 1020; id++ {
+		window = append(window, id)
 	}
-	for _, policy := range core.PolicyNames() {
-		t.Run(policy, func(t *testing.T) {
-			tab, err := NewTablePolicy(testParams(), 0, policy)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name     string
+		ids      []trace.BranchID
+		events   int
+		programs int
+		anchor   bool // the first event goes to ids[0]
+	}{
+		// The sparse case's subtests carry the bare policy name.
+		{"", []trace.BranchID{0, 1, 7, 4096, 1 << 20, 1<<32 - 1, 31337, 2}, 40_000, 3, false},
+		// 1000 comes first, so the window starts at 768: 1000–1019
+		// land in it, and 3, 600 (below its base), 2^31 and 2^32−1 in
+		// the map.
+		{"window+map", append(window, 3, 600, 1<<31, 1<<32-1), 10_000, 1, true},
+	} {
+		evs := synthEvents(c.events, 5)
+		if c.anchor {
+			evs[0].Branch = 0
+		}
+		for i := range evs {
+			evs[i].Branch = c.ids[int(evs[i].Branch)%len(c.ids)]
+		}
+		for _, policy := range core.PolicyNames() {
+			name := policy
+			if c.name != "" {
+				name = c.name + "/" + policy
 			}
-			names, streams := dealPrograms("prog", evs, 3)
-			for k, name := range names {
-				var got []byte
-				var instr uint64
-				for _, b := range streamBatches(streams[k], 997) {
-					got, instr = tab.ApplyBatch(name, b, instr, got)
+			t.Run(name, func(t *testing.T) {
+				tab, err := NewTablePolicy(testParams(), 0, policy)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// One single-unit oracle per unit, keyed by the client
-				// ID, so lifetime counters compare one unit at a time
-				// (and no oracle is sized by the largest ID).
-				units := map[trace.BranchID]*core.PolicySet{}
-				instr = 0
-				for i, ev := range streams[k] {
-					instr += uint64(ev.Gap)
-					u := units[ev.Branch]
-					if u == nil {
-						var err error
-						if u, err = core.NewPolicySet(policy, testParams()); err != nil {
-							t.Fatal(err)
+				names, streams := dealPrograms("prog", evs, c.programs)
+				for k, name := range names {
+					var got []byte
+					var instr uint64
+					for _, b := range streamBatches(streams[k], 997) {
+						got, instr = tab.ApplyBatch(name, b, instr, got)
+					}
+					// One single-unit oracle per unit, keyed by the client
+					// ID, so lifetime counters compare one unit at a time
+					// (and no oracle is sized by the largest ID).
+					units := map[trace.BranchID]*core.PolicySet{}
+					instr = 0
+					for i, ev := range streams[k] {
+						instr += uint64(ev.Gap)
+						u := units[ev.Branch]
+						if u == nil {
+							var err error
+							if u, err = core.NewPolicySet(policy, testParams()); err != nil {
+								t.Fatal(err)
+							}
+							units[ev.Branch] = u
 						}
-						units[ev.Branch] = u
+						u.AddInstrs(uint64(ev.Gap))
+						v, st, dir, live := u.OnEvent(0, ev.Taken, instr)
+						if want := (Decision{Verdict: v, State: st, Dir: dir, Live: live}).Encode(); got[i] != want {
+							gd, _ := DecodeDecision(got[i])
+							wd, _ := DecodeDecision(want)
+							t.Fatalf("%s event %d (unit %d): table %v, policy set %v", name, i, ev.Branch, gd, wd)
+						}
 					}
-					u.AddInstrs(uint64(ev.Gap))
-					v, st, dir, live := u.OnEvent(0, ev.Taken, instr)
-					if want := (Decision{Verdict: v, State: st, Dir: dir, Live: live}).Encode(); got[i] != want {
-						gd, _ := DecodeDecision(got[i])
-						wd, _ := DecodeDecision(want)
-						t.Fatalf("%s event %d (unit %d): table %v, policy set %v", name, i, ev.Branch, gd, wd)
+					for _, es := range tab.SnapshotEntries() {
+						if es.Program != name {
+							continue
+						}
+						u := units[es.Branch]
+						if u == nil {
+							t.Fatalf("%s: snapshot carries unit %d the trace never touched", name, es.Branch)
+						}
+						if want := u.Stats(); es.Stats != want {
+							t.Fatalf("%s unit %d: counters %+v, oracle %+v", name, es.Branch, es.Stats, want)
+						}
+						if es.State.State != u.UnitState(0) {
+							t.Fatalf("%s unit %d: state %v, oracle %v", name, es.Branch, es.State.State, u.UnitState(0))
+						}
+						delete(units, es.Branch)
+					}
+					if len(units) != 0 {
+						t.Fatalf("%s: %d touched units missing from the snapshot", name, len(units))
 					}
 				}
-				for _, es := range tab.SnapshotEntries() {
-					if es.Program != name {
-						continue
-					}
-					u := units[es.Branch]
-					if u == nil {
-						t.Fatalf("%s: snapshot carries unit %d the trace never touched", name, es.Branch)
-					}
-					if want := u.Stats(); es.Stats != want {
-						t.Fatalf("%s unit %d: counters %+v, oracle %+v", name, es.Branch, es.Stats, want)
-					}
-					if es.State.State != u.UnitState(0) {
-						t.Fatalf("%s unit %d: state %v, oracle %v", name, es.Branch, es.State.State, u.UnitState(0))
-					}
-					delete(units, es.Branch)
-				}
-				if len(units) != 0 {
-					t.Fatalf("%s: %d touched units missing from the snapshot", name, len(units))
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 //
 // A partition is the paper's per-program controller (Section 3.2): it owns
 // the program's ingest cursor, its counters, and a dense store of unit
-// state. Client unit IDs are arbitrary uint32s, so a compact index maps each
-// ID onto the next free slot the first time it is seen, and unit state lives
-// in fixed-size pages indexed by slot (core.Pages): memory follows the units
-// actually touched, never the largest ID, and growth never copies a unit.
+// state. Client unit IDs are arbitrary uint32s, so a slot index (slotIndex)
+// maps each ID onto the next free slot the first time it is seen, and unit
+// state lives in fixed-size pages indexed by slot (core.Pages): memory
+// follows the units actually touched, never the largest ID, and growth never
+// copies a unit.
 // Whatever the policy, a partition runs exactly one multi-unit core.Engine
 // (for the reactive default, a core.Controller) whose unit IDs are slots:
 // one page entry holds a slot's state and its lifetime counters together.
@@ -60,7 +61,7 @@ type partition struct {
 	instr  uint64
 	events uint64
 	// index maps a client unit ID onto its dense slot.
-	index map[trace.BranchID]uint32
+	index slotIndex
 	// engine holds every slot's unit state; its unit IDs are slots. Its
 	// transition hook counts into metrics, and runs under mu like every
 	// other engine call.
@@ -120,7 +121,7 @@ func (t *Table) partition(key string) *partition {
 			// NewTablePolicy validated the policy and parameters.
 			panic(err)
 		}
-		p = &partition{key: key, index: make(map[trace.BranchID]uint32), engine: e}
+		p = &partition{key: key, engine: e}
 		e.SetTransitionHook(p.onTransition)
 		t.parts[key] = p
 	}
@@ -152,15 +153,119 @@ func (p *partition) onTransition(tr core.Transition) {
 	p.metrics.Transitions[tr.To]++
 }
 
-// slot returns id's dense slot, assigning the next one on first sight. The
-// caller holds p.mu for writing.
-func (p *partition) slot(id trace.BranchID) trace.BranchID {
-	s, ok := p.index[id]
-	if !ok {
-		s = uint32(len(p.index))
-		p.index[id] = s
+// slotIndex maps client unit IDs onto dense slots, assigned in first-seen
+// order. Programs number their units densely (the paper's static branches
+// are a program's own numbering), so the index has two tiers:
+//
+//   - a direct window holding slot+1 (0 = absent) for IDs from base upward,
+//     in fixed pages of core.PageUnits entries that are allocated on first
+//     touch and never copied. base is the page of the first ID the index
+//     sees.
+//   - far, a map created on first need, for every ID the window may not
+//     hold.
+//
+// A new ID goes into the window iff id ≥ base and id − base < 2n +
+// core.PageUnits, n being the slots assigned so far; anything else goes into
+// far. The window thus spans fewer than 2n + core.PageUnits IDs, so whatever
+// IDs a client sends, its pages cost at most 4 B × (2n + 2·core.PageUnits)
+// plus one directory pointer per page. An ID lives in exactly one tier, so
+// far is consulted only on a window miss, and for a dense program it stays
+// nil: an ID resolves with one bounds check and one load instead of a hash
+// probe.
+//
+// The zero value is empty and ready to use. It is not safe for concurrent
+// use; the partition's mu guards it.
+type slotIndex struct {
+	base uint32 // first ID of the window's page 0, page-aligned
+	n    uint32 // slots assigned
+	dir  []*[core.PageUnits]uint32
+	far  map[trace.BranchID]uint32
+}
+
+// window returns id's slot when the window holds it. It makes no call, so
+// it inlines into the apply loop, which falls back to miss; a call in here
+// would push it past the inlining budget.
+func (x *slotIndex) window(id trace.BranchID) (uint32, bool) {
+	off := uint32(id) - x.base
+	if pi := int(off / core.PageUnits); pi < len(x.dir) {
+		if pg := x.dir[pi]; pg != nil {
+			if s := pg[off%core.PageUnits]; s != 0 {
+				return s - 1, true
+			}
+		}
 	}
-	return trace.BranchID(s)
+	return 0, false
+}
+
+// miss returns the slot of an ID the window does not hold, assigning the
+// next one on first sight.
+func (x *slotIndex) miss(id trace.BranchID) uint32 {
+	if s, ok := x.far[id]; ok {
+		return s
+	}
+	return x.add(id)
+}
+
+// get returns id's slot, or false when id has none.
+func (x *slotIndex) get(id trace.BranchID) (uint32, bool) {
+	if s, ok := x.window(id); ok {
+		return s, true
+	}
+	s, ok := x.far[id]
+	return s, ok
+}
+
+// admits reports whether the window takes id as a new ID (see slotIndex).
+// The first ID anchors base at its page, so it is always admitted.
+func (x *slotIndex) admits(id trace.BranchID) bool {
+	if x.n == 0 {
+		return true
+	}
+	return uint32(id) >= x.base && uint64(uint32(id)-x.base) < 2*uint64(x.n)+core.PageUnits
+}
+
+// add assigns the next slot to id, which must have none, and returns it.
+func (x *slotIndex) add(id trace.BranchID) uint32 {
+	s := x.n
+	if x.admits(id) {
+		if s == 0 {
+			x.base = uint32(id) &^ (core.PageUnits - 1)
+		}
+		off := uint32(id) - x.base
+		pi := int(off / core.PageUnits)
+		for len(x.dir) <= pi {
+			x.dir = append(x.dir, nil)
+		}
+		if x.dir[pi] == nil {
+			x.dir[pi] = new([core.PageUnits]uint32)
+		}
+		x.dir[pi][off%core.PageUnits] = s + 1
+	} else {
+		if x.far == nil {
+			x.far = make(map[trace.BranchID]uint32)
+		}
+		x.far[id] = s
+	}
+	x.n++
+	return s
+}
+
+// each calls f for every (ID, slot) pair, window first in ID order, then
+// far in map order.
+func (x *slotIndex) each(f func(id trace.BranchID, s uint32)) {
+	for pi, pg := range x.dir {
+		if pg == nil {
+			continue
+		}
+		for j, v := range pg {
+			if v != 0 {
+				f(trace.BranchID(x.base+uint32(pi*core.PageUnits+j)), v-1)
+			}
+		}
+	}
+	for id, s := range x.far {
+		f(id, s)
+	}
 }
 
 // count bumps the partition counters for one event.
@@ -188,7 +293,11 @@ func (p *partition) applyLocked(evs []trace.Event, instr uint64, dst []byte) ([]
 	for i, ev := range evs {
 		if i == 0 || ev.Branch != last {
 			last = ev.Branch
-			slot = p.slot(ev.Branch)
+			s, ok := p.index.window(ev.Branch)
+			if !ok {
+				s = p.index.miss(ev.Branch)
+			}
+			slot = trace.BranchID(s)
 		}
 		gap := uint64(ev.Gap)
 		instr += gap
@@ -231,7 +340,7 @@ func (p *partition) cursor() (instr, events uint64) {
 func (p *partition) decide(id trace.BranchID) Decision {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	s, ok := p.index[id]
+	s, ok := p.index.get(id)
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
@@ -243,11 +352,11 @@ func (p *partition) decide(id trace.BranchID) Decision {
 // ID, to out. The caller holds p.mu.
 func (p *partition) exportLocked(out []EntrySnapshot) []EntrySnapshot {
 	start := len(out)
-	for id, s := range p.index {
+	p.index.each(func(id trace.BranchID, s uint32) {
 		if st, stats, ok := p.engine.Export(trace.BranchID(s)); ok {
 			out = append(out, EntrySnapshot{Program: p.key, Branch: id, State: st, Stats: stats})
 		}
-	}
+	})
 	mine := out[start:]
 	sort.Slice(mine, func(i, j int) bool { return mine[i].Branch < mine[j].Branch })
 	return out
@@ -257,14 +366,16 @@ func (p *partition) exportLocked(out []EntrySnapshot) []EntrySnapshot {
 // leaves the partition untouched and returns the engine's refusal of state
 // it cannot hold exactly. The caller holds p.mu for writing.
 func (p *partition) restoreLocked(id trace.BranchID, st core.BranchState, stats core.Stats) error {
-	s, known := p.index[id]
+	s, known := p.index.get(id)
 	if !known {
-		s = uint32(len(p.index))
+		s = p.index.n
 	}
 	if err := p.engine.Import(trace.BranchID(s), st, stats); err != nil {
 		return fmt.Errorf("server: restoring unit %d of %q: %w", id, p.key, err)
 	}
-	p.index[id] = s
+	if !known {
+		p.index.add(id)
+	}
 	return nil
 }
 
@@ -369,7 +480,7 @@ func (t *Table) Metrics() TableMetrics {
 	for _, p := range t.sortedPartitions() {
 		p.mu.RLock()
 		m := p.metrics
-		m.Entries = uint64(len(p.index))
+		m.Entries = uint64(p.index.n)
 		p.mu.RUnlock()
 		total.Add(m)
 	}

@@ -1,12 +1,23 @@
 #!/usr/bin/env sh
-# Tier-1 verification gate: static analysis, full build, the test suite
-# under the race detector (race mode exercises the hardened parallel
-# experiment drivers) and without it, and an end-to-end smoke run of the
-# serving mode (reactiveload driving an ephemeral reactived over localhost
-# with decision verification on). Run from anywhere inside the repository.
+# Tier-1 verification gate: formatting, static analysis, full build, the
+# test suite under the race detector (race mode exercises the hardened
+# parallel experiment drivers) and without it, and an end-to-end smoke run
+# of the serving mode (reactiveload driving an ephemeral reactived over
+# localhost with decision verification on). Run from anywhere inside the
+# repository.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# gofmt -l prints every file whose formatting differs and exits 0 either
+# way, so any output fails the gate.
+echo "==> gofmt -l ."
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt would reformat:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
