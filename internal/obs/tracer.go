@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -298,8 +299,16 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 }
 
 // writeSpanJSON writes one span as one JSON line: fixed field order and
-// plain %d/%q formatting, so identical spans encode to identical bytes.
+// plain %d formatting, strings quoted by encoding/json (kind-keyed program
+// names start with a NUL byte, which %q would write as \x00 — not JSON), so
+// identical spans encode to identical bytes.
 func writeSpanJSON(w io.Writer, s Span) {
-	fmt.Fprintf(w, `{"trace":%d,"span":%d,"parent":%d,"node":%q,"stage":%q,"program":%q,"events":%d,"seq":%d,"start":%d,"dur":%d}`+"\n",
-		s.Trace, s.Span, s.Parent, s.Node, s.Stage, s.Program, s.Events, s.Seq, s.Start, s.Dur)
+	fmt.Fprintf(w, `{"trace":%d,"span":%d,"parent":%d,"node":%s,"stage":%s,"program":%s,"events":%d,"seq":%d,"start":%d,"dur":%d}`+"\n",
+		s.Trace, s.Span, s.Parent, jsonString(s.Node), jsonString(s.Stage), jsonString(s.Program),
+		s.Events, s.Seq, s.Start, s.Dur)
+}
+
+func jsonString(v string) []byte {
+	b, _ := json.Marshal(v) // a string always marshals
+	return b
 }

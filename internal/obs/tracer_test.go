@@ -79,6 +79,32 @@ func TestTracerJSONLDeterministic(t *testing.T) {
 
 func b2(f func() string) string { return f() }
 
+// TestTracerJSONLQuotesControlBytes pins that every program name survives
+// the JSONL round trip, including kind-keyed names that start with a NUL
+// byte and names with quotes or backslashes.
+func TestTracerJSONLQuotesControlBytes(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer("primary", 1)
+	tr.SetOutput(&buf)
+	programs := []string{"gzip", "\x00\x01gzip", "a\"b\\c\n\x1f", "caf\u00e9@0"}
+	for i, p := range programs {
+		tr.Record(Span{Trace: 1, Span: uint64(i + 1), Stage: "batch", Program: p})
+	}
+	tr.Close()
+	if !strings.Contains(buf.String(), `"program":"\u0000\u0001gzip"`) {
+		t.Fatalf("NUL not escaped as \\u0000:\n%s", buf.String())
+	}
+	spans, dropped, err := LoadSpans(&buf)
+	if err != nil || dropped != 0 || len(spans) != len(programs) {
+		t.Fatalf("LoadSpans: %d spans, %d dropped, %v", len(spans), dropped, err)
+	}
+	for i, p := range programs {
+		if spans[i].Program != p {
+			t.Errorf("span %d program %q, want %q", i, spans[i].Program, p)
+		}
+	}
+}
+
 func TestTracerSeqTable(t *testing.T) {
 	tr := NewTracer("n", 1)
 	tr.NoteSeq(100, 7)

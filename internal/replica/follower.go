@@ -288,12 +288,11 @@ func (f *Follower) session() error {
 	if ack.Err != nil {
 		return f.classify(*ack.Err)
 	}
-	// A proto-1 primary acks 1 and ships trace-less records; anything
-	// outside [min, current] is a peer this build cannot speak to.
-	proto := ack.Proto
-	if proto < trace.ReplicationProtoMin || proto > trace.ReplicationProtoVersion {
-		return errPermanent{fmt.Errorf("replica: primary acked protocol %d, follower supports [%d, %d]",
-			proto, trace.ReplicationProtoMin, trace.ReplicationProtoVersion)}
+	// The follower speaks exactly one revision; a primary acking any other
+	// is a peer this build cannot speak to.
+	if ack.Proto != trace.ReplicationProtoVersion {
+		return errPermanent{fmt.Errorf("replica: primary acked protocol %d, follower speaks %d",
+			ack.Proto, trace.ReplicationProtoVersion)}
 	}
 	conn.SetDeadline(time.Time{})
 	if f.cfg.Trace.SampleInfra() {
@@ -320,7 +319,7 @@ func (f *Follower) session() error {
 		}
 		switch typ {
 		case trace.ReplFrameRecord:
-			rec, err := trace.DecodeReplRecord(payload, proto)
+			rec, err := trace.DecodeReplRecord(payload)
 			if err != nil {
 				return fmt.Errorf("replica: decoding shipped record: %w", err)
 			}

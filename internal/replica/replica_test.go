@@ -1,7 +1,10 @@
 package replica
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -179,6 +182,19 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 			}
 		}
 	}
+	// The replica logged the exact record bytes the primary did, under the
+	// same sequence numbers: recovery or a further follower of the replica
+	// replays what the primary would.
+	pr, rr := logRecords(t, p.log), logRecords(t, r.log)
+	if len(pr) != 15 || len(rr) != len(pr) {
+		t.Fatalf("primary logged %d records, replica %d; want 15 each", len(pr), len(rr))
+	}
+	for i := range pr {
+		if pr[i].Seq != rr[i].Seq || pr[i].Program != rr[i].Program || !bytes.Equal(pr[i].Frame, rr[i].Frame) {
+			t.Fatalf("log record %d diverges: primary seq %d %q (%d frame bytes), replica seq %d %q (%d frame bytes)",
+				i, pr[i].Seq, pr[i].Program, len(pr[i].Frame), rr[i].Seq, rr[i].Program, len(rr[i].Frame))
+		}
+	}
 	// Cursor accounting matches: the failover resume point is exact.
 	pc, err := p.client.Cursor(ctx, "gzip")
 	if err != nil {
@@ -224,6 +240,28 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// logRecords reads every record of l's directory without decoding events,
+// copying each frame out of the reader's reused buffer.
+func logRecords(t *testing.T, l *wal.Log) []wal.Record {
+	t.Helper()
+	rd, err := wal.NewReader(wal.ReaderOptions{Dir: l.Dir(), ParamsHash: l.ParamsHash(), FrameOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	var out []wal.Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, wal.Record{Seq: rec.Seq, Program: rec.Program, Frame: bytes.Clone(rec.Frame)})
 	}
 }
 
@@ -353,6 +391,87 @@ func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
 	}
 	if f.Err() != nil {
 		t.Fatalf("follower reported a permanent error across a transient restart: %v", f.Err())
+	}
+}
+
+// TestShipperRejectsProto1Hello pins the one-version wire on the primary
+// side: a hello below ReplicationProtoVersion is answered with a typed
+// proto_mismatch rejection, and no session starts.
+func TestShipperRejectsProto1Hello(t *testing.T) {
+	p := startPrimary(t)
+	conn, err := net.Dial("tcp", p.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(trace.AppendReplHello(nil, trace.ReplHello{
+		Proto: 1, ParamsHash: server.ParamsHash(testParams()),
+	})); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := trace.ReadReplAck(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatalf("ReadReplAck: %v", err)
+	}
+	if ack.Err == nil || ack.Err.Code != trace.StreamCodeProtoMismatch || !strings.Contains(ack.Err.Msg, "protocol 1") {
+		t.Fatalf("proto-1 hello answered %+v (err %v), want a proto_mismatch rejection", ack, ack.Err)
+	}
+	if n := p.shipper.Sessions(); n != 0 {
+		t.Fatalf("%d sessions after a rejected hello", n)
+	}
+	reg := obs.NewRegistry()
+	p.shipper.RegisterMetrics(reg)
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "reactived_replication_rejected_hellos_total 1") {
+		t.Fatalf("rejected hello not counted:\n%s", sb.String())
+	}
+}
+
+// TestFollowerRejectsOtherAckProto pins the one-version wire on the follower
+// side: a primary that acks any revision other than ReplicationProtoVersion
+// stops the follower permanently, before any record is applied.
+func TestFollowerRejectsOtherAckProto(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := trace.ReadReplHello(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		conn.Write(trace.AppendReplAck(nil, trace.ReplAck{Proto: 1, Window: 8}))
+		// Hold the connection until the follower hangs up.
+		io.Copy(io.Discard, conn)
+	}()
+	f := StartFollower(FollowerConfig{
+		Addr:       ln.Addr().String(),
+		ParamsHash: server.ParamsHash(testParams()),
+		NextSeq:    func() uint64 { return 0 },
+		Apply: func(string, []trace.Event, uint64) error {
+			t.Error("follower applied a record from a proto-1 primary")
+			return nil
+		},
+		Logf: t.Logf,
+	})
+	defer f.Seal()
+	select {
+	case <-f.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower kept going after a proto-1 ack")
+	}
+	if f.State() != StateFailed {
+		t.Fatalf("state %q, want failed", f.State())
+	}
+	if err := f.Err(); err == nil || !strings.Contains(err.Error(), "acked protocol 1") {
+		t.Fatalf("error %v does not name the acked protocol", err)
 	}
 }
 

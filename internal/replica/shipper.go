@@ -316,8 +316,8 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 	switch {
 	case !protoOK:
 		reject(trace.StreamCodeProtoMismatch, fmt.Sprintf(
-			"follower speaks replication protocol %d, primary supports [%d, %d]",
-			hello.Proto, trace.ReplicationProtoMin, trace.ReplicationProtoVersion))
+			"follower speaks replication protocol %d, primary speaks %d",
+			hello.Proto, trace.ReplicationProtoVersion))
 		return
 	case hello.ParamsHash != log.ParamsHash():
 		reject(trace.StreamCodeParamMismatch, fmt.Sprintf(
@@ -488,7 +488,7 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			Trace:            traceID,
 			Program:          rec.Program,
 			Frame:            rec.Frame,
-		}, proto)
+		})
 		if writeWire(frameBuf) != nil {
 			return
 		}

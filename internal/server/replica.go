@@ -78,11 +78,12 @@ func (s *Server) Promote() (PromoteResult, error) {
 	return PromoteResult{Mode: "primary", LastAppliedSeq: last}, nil
 }
 
-// ApplyReplicated applies one record shipped from the primary's WAL: append
-// it to the replica's own log, commit, then train the table — the same
-// log-before-apply contract as handleIngest, under the same locks, so
-// snapshots taken on the replica carry exact WAL anchors and replay after a
-// replica crash reproduces the same decisions. Callers (the replication
+// ApplyReplicated applies one record shipped from the primary's WAL through
+// commit, the same log-before-apply path as client ingest under the same
+// locks: the events are re-encoded into the exact frame payload the primary
+// logged, appended to the replica's own log, committed, then applied. So
+// snapshots taken on the replica carry exact WAL anchors, and replay after
+// a replica crash reproduces the same decisions. Callers (the replication
 // follower) deliver records in WAL-sequence order; the partition's ingest
 // lock preserves that order against the table. traceID, when non-zero, is the
 // trace the record's originating batch was sampled into on the primary; the
@@ -93,30 +94,19 @@ func (s *Server) ApplyReplicated(program string, events []trace.Event, traceID u
 	}
 	start := time.Now()
 	p := s.table.partition(program)
-	s.replicaMu.Lock()
-	defer s.replicaMu.Unlock()
-	s.applyMu.RLock()
-	p.ingest.Lock()
-	var walErr error
-	var seq uint64
-	if wlog := s.cfg.WAL; wlog != nil {
-		if seq, walErr = wlog.Append(program, events); walErr == nil {
-			walErr = wlog.Commit()
-		}
-	}
-	if walErr == nil {
-		s.replicaScratch = p.apply(events, s.replicaScratch[:0])
-	}
-	p.ingest.Unlock()
-	s.applyMu.RUnlock()
-	if walErr != nil {
-		s.ins.walAppendErrors.Inc()
-		return fmt.Errorf("server: replica wal append: %w", walErr)
+	sc := ingestScratchPool.Get().(*ingestScratch)
+	sc.payload = trace.EncodeFrameAppend(sc.payload, events)
+	sc.frames = append(sc.frames, frameSpan{pend: len(sc.payload), events: len(events)})
+	var c commitStamps
+	var err error
+	sc.decisions, c, err = s.commit(p, sc.payload, sc.frames, traceID, sc.decisions)
+	sc.release()
+	if err != nil {
+		return fmt.Errorf("server: replica wal append: %w", err)
 	}
 	s.ins.replicatedRecords.Inc()
 	s.ins.replicatedEvents.Add(uint64(len(events)))
-	s.cfg.Trace.NoteSeq(seq, traceID)
-	s.cfg.Trace.RecordStage(traceID, 0, "follower_apply", program, len(events), seq, start, time.Since(start))
+	s.cfg.Trace.RecordStage(traceID, 0, "follower_apply", program, len(events), c.firstSeq, start, time.Since(start))
 	return nil
 }
 

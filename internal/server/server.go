@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -162,12 +163,6 @@ type Server struct {
 	// the last applied sequence before the server goes writable.
 	promoteMu sync.Mutex
 	sealFn    func() (uint64, error)
-	// replicaMu serializes ApplyReplicated's use of replicaScratch (shipped
-	// records already arrive in per-connection order; the partition's
-	// ingest lock, not this one, is the ordering guarantee).
-	replicaMu      sync.Mutex
-	replicaScratch []byte
-
 	// applyMu fences WAL-append-plus-apply sections (read side) against
 	// snapshot capture (write side): a snapshot's WAL anchor is taken while
 	// no batch is between its WAL append and its table apply, so every
@@ -327,26 +322,19 @@ type ingestScratch struct {
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
+// release empties sc's buffers, keeping their capacity, and returns it to
+// the pool.
+func (sc *ingestScratch) release() {
+	sc.payload = sc.payload[:0]
+	sc.frames = sc.frames[:0]
+	sc.decisions = sc.decisions[:0]
+	sc.resp = sc.resp[:0]
+	ingestScratchPool.Put(sc)
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if s.readOnly.Load() {
-		writeError(w, http.StatusForbidden, CodeReadOnly,
-			"replica is read-only; ingest on the primary, or promote this replica first")
-		return
-	}
-	q := r.URL.Query()
-	program := q.Get("program")
-	if !checkProgram(w, program) {
-		return
-	}
-	if !s.checkParamsPin(w, q.Get("params")) {
+	program, _, ok := s.ingestPrecheck(w, r)
+	if !ok {
 		return
 	}
 	// pprof labels let a CPU profile split ingest work by program, transport
@@ -357,6 +345,35 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	), func(context.Context) {
 		s.ingestBatch(w, r, program)
 	})
+}
+
+// ingestPrecheck runs the checks both POST ingest endpoints make before
+// reading a byte of the body — method, draining, read-only, program name,
+// params pin — answering the request itself on failure. It returns the
+// program and the parsed query.
+func (s *Server) ingestPrecheck(w http.ResponseWriter, r *http.Request) (string, url.Values, bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
+		return "", nil, false
+	}
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		return "", nil, false
+	}
+	if s.readOnly.Load() {
+		writeError(w, http.StatusForbidden, CodeReadOnly,
+			"replica is read-only; ingest on the primary, or promote this replica first")
+		return "", nil, false
+	}
+	q := r.URL.Query()
+	program := q.Get("program")
+	if !checkProgram(w, program) {
+		return "", nil, false
+	}
+	if !s.checkParamsPin(w, q.Get("params")) {
+		return "", nil, false
+	}
+	return program, q, true
 }
 
 // checkProgram validates an ingest/decide program parameter, answering the
@@ -435,29 +452,12 @@ func (s *Server) checkKindPolicy(w http.ResponseWriter, q map[string][]string) (
 }
 
 func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if s.readOnly.Load() {
-		writeError(w, http.StatusForbidden, CodeReadOnly,
-			"replica is read-only; ingest on the primary, or promote this replica first")
-		return
-	}
-	q := r.URL.Query()
-	program := q.Get("program")
-	if !checkProgram(w, program) {
+	program, q, ok := s.ingestPrecheck(w, r)
+	if !ok {
 		return
 	}
 	kind, ok := s.checkKindPolicy(w, q)
 	if !ok {
-		return
-	}
-	if !s.checkParamsPin(w, q.Get("params")) {
 		return
 	}
 	// Everything below /v2 validation is the /v1 batch path on the encoded
@@ -486,13 +486,7 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 	}
 
 	sc := ingestScratchPool.Get().(*ingestScratch)
-	defer func() {
-		sc.payload = sc.payload[:0]
-		sc.frames = sc.frames[:0]
-		sc.decisions = sc.decisions[:0]
-		sc.resp = sc.resp[:0]
-		ingestScratchPool.Put(sc)
-	}()
+	defer sc.release()
 
 	// Stage 1 — read + validate, no locks held. The whole body is consumed
 	// into pooled buffers before the program's ingest lock is taken, so a
@@ -534,75 +528,19 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		sc.payload = payload
 		sc.frames = append(sc.frames, frameSpan{pstart: p0, pend: len(payload), events: nEvents})
 	}
-	decodeDur := time.Since(decodeStart)
+	decodeEnd := time.Now()
 
-	// Stage 2 — log, then ordered apply. The WAL append runs under the same
-	// partition ingest lock as the apply so a program's WAL record order is
-	// exactly its apply order (replay reproduces the same decisions), and
-	// one Commit covers the whole batch. Deciders are not held up meanwhile:
-	// they take only the partition's state lock, which each frame's apply
-	// holds for that frame alone.
-	applyStart := time.Now()
+	// Stage 2 — log, then ordered apply (commit). Deciders are not held up
+	// meanwhile: they take only the partition's state lock, which each
+	// frame's apply holds for that frame alone.
 	p := s.table.partition(program)
-	s.applyMu.RLock()
-	p.ingest.Lock()
+	var c commitStamps
 	var walErr error
-	var firstSeq uint64
-	walStart := time.Now()
-	fsyncStart := walStart
-	var fsyncDur time.Duration
-	if wlog := s.cfg.WAL; wlog != nil {
-		for _, f := range sc.frames {
-			if f.errMsg != "" {
-				continue
-			}
-			var seq uint64
-			if seq, walErr = wlog.AppendPayload(program, sc.payload[f.pstart:f.pend]); walErr != nil {
-				break
-			}
-			if firstSeq == 0 {
-				firstSeq = seq
-			}
-			// The WAL stores no trace context; the seq→trace side table is
-			// how the replication shipper re-attaches the trace when it
-			// reads this record back off the log.
-			s.cfg.Trace.NoteSeq(seq, traceID)
-		}
-		fsyncStart = time.Now()
-		if walErr == nil {
-			walErr = wlog.Commit()
-		}
-		fsyncDur = time.Since(fsyncStart)
-	}
-	walDur := fsyncStart.Sub(walStart)
-	tableStart := time.Now()
-	var totalEvents int
-	if walErr == nil {
-		for i := range sc.frames {
-			f := &sc.frames[i]
-			if f.errMsg != "" {
-				continue
-			}
-			f.dstart = len(sc.decisions)
-			sc.decisions = p.applyFrame(sc.payload[f.pstart:f.pend], sc.decisions)
-			f.dend = len(sc.decisions)
-			totalEvents += f.events
-		}
-	}
-	tableDur := time.Since(tableStart)
-	p.ingest.Unlock()
-	s.applyMu.RUnlock()
+	sc.decisions, c, walErr = s.commit(p, sc.payload, sc.frames, traceID, sc.decisions)
 	if walErr != nil {
-		// Nothing was applied: a client that cannot durably log must not
-		// train the live table, or recovery would diverge from the state it
-		// acknowledged. (Frames appended before the failure may survive in
-		// the log; replaying unacknowledged events is safe — the client saw
-		// an error, not an ack.)
-		s.ins.walAppendErrors.Inc()
 		writeError(w, http.StatusInternalServerError, CodeInternal, "wal append: "+walErr.Error())
 		return
 	}
-	applyDur := time.Since(applyStart)
 
 	// Stage 3 — encode and write the response from a pooled buffer. Each
 	// applied frame recorded its span of the shared decision buffer while
@@ -639,30 +577,15 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		// are already applied, so all we can do is count it.
 		s.ins.responseErrors.Inc()
 	}
-	respondDur := time.Since(respondStart)
 	end := time.Now()
 
 	s.ins.batches.Inc()
 	s.ins.batchLat.Observe(end.Sub(start).Seconds())
-	s.ins.decodeLat.Observe(decodeDur.Seconds())
-	s.ins.applyLat.Observe(applyDur.Seconds())
-	s.ins.respondLat.Observe(respondDur.Seconds())
-	s.ins.batchEvents.Observe(float64(totalEvents))
-
-	if traceID != 0 {
-		// The batch root plus its contiguous children (decode through
-		// respond) is what `reactivespec spans` attributes wall time over;
-		// the children cover the root by construction.
-		tr := s.cfg.Trace
-		root := tr.SpanID()
-		tr.Record(obs.Span{Trace: traceID, Span: root, Stage: "batch", Program: program,
-			Events: totalEvents, Seq: firstSeq, Start: start.UnixNano(), Dur: int64(end.Sub(start))})
-		tr.RecordStage(traceID, root, "decode", program, totalEvents, 0, decodeStart, decodeDur)
-		tr.RecordStage(traceID, root, "wal_append", program, totalEvents, firstSeq, walStart, walDur)
-		tr.RecordStage(traceID, root, "fsync", program, 0, firstSeq, fsyncStart, fsyncDur)
-		tr.RecordStage(traceID, root, "apply", program, totalEvents, 0, tableStart, tableDur)
-		tr.RecordStage(traceID, root, "respond", program, 0, 0, respondStart, respondDur)
-	}
+	s.ins.decodeLat.Observe(decodeEnd.Sub(decodeStart).Seconds())
+	s.ins.applyLat.Observe(c.end.Sub(c.start).Seconds())
+	s.ins.respondLat.Observe(end.Sub(respondStart).Seconds())
+	s.ins.batchEvents.Observe(float64(c.events))
+	s.recordBatch(traceID, p.key, start, decodeStart, decodeEnd, c, respondStart, end)
 }
 
 // DecideResponse is the JSON answer of /v1/decide.

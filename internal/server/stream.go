@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"reactivespec/internal/obs"
 	"reactivespec/internal/trace"
 )
 
@@ -27,10 +26,10 @@ import (
 //   - a dedicated raw TCP listener (reactived -stream-addr) where the
 //     session protocol starts immediately after connect.
 //
-// Decisions are byte-identical to the /v1/ingest path: both train the same
-// table partition under the same partition ingest lock and through the same
-// apply path, so a program's event order, and therefore its decision
-// sequence and cursor, is independent of the transport
+// Decisions are byte-identical to the /v1/ingest path: both log and train
+// the same table partition through the same commit, so a program's event
+// order, and therefore its decision sequence and cursor, is independent of
+// the transport
 // (TestStreamMatchesIngest and TestCursorMatchesAcrossIngestPaths pin this).
 //
 // Backpressure is window-based: the handshake ack advertises how many event
@@ -284,11 +283,10 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 // The read path is zero-copy at the byte level: ReadSessionFrameBuffered
 // hands back a payload aliasing the connection read buffer, the frame is
 // validated in place (trace.ValidateFrame — identical accept/reject set
-// and diagnostics to the old decode), the WAL splices the validated bytes
-// verbatim (wal.AppendPayload writes the same record bytes Append would),
-// and the partition's apply decodes into a pooled scratch that never
-// escapes it. Steady state allocates nothing per frame, and the payload is fully
-// consumed before the next read invalidates it.
+// and diagnostics to the old decode), and commit logs the validated bytes
+// verbatim and applies them through a pooled decode scratch. Steady state
+// allocates nothing per frame, and the payload is fully consumed before the
+// next read invalidates it.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	ss *streamSession, program string, proto, flags uint32, writeWire func([]byte) error) {
 	// terminal ends the session with a typed frame; the client surfaces
@@ -314,6 +312,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		payload        []byte
 		err            error
 		parts          [trace.KindCount]*partition
+		frame          [1]frameSpan
 	)
 	parts[trace.KindBranch] = s.table.partition(program)
 	for {
@@ -359,7 +358,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			if err == nil {
 				nEvents, err = trace.ValidateFrame(body)
 			}
-			decodeDur := time.Since(decodeStart)
+			decodeEnd := time.Now()
 			if err != nil {
 				// The session framing is intact — reject this frame
 				// alone and keep the session, mirroring the POST
@@ -377,66 +376,25 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					p = s.table.partition(trace.EncodeKindProgram(kind, program))
 					parts[kind] = p
 				}
-				applyStart := time.Now()
-				s.applyMu.RLock()
-				p.ingest.Lock()
+				frame[0] = frameSpan{pend: len(body), events: nEvents}
+				var c commitStamps
 				var walErr error
-				var seq uint64
-				walStart := time.Now()
-				fsyncStart := walStart
-				var fsyncDur time.Duration
-				if wlog := s.cfg.WAL; wlog != nil {
-					// Same contract as the POST path: the frame is logged
-					// under the ingest lock (WAL order == apply order) and
-					// committed before it trains the table. The validated
-					// wire payload is spliced in verbatim — the record
-					// bytes match what Append would have written for the
-					// decoded events.
-					seq, walErr = wlog.AppendPayload(p.key, body)
-					if walErr == nil {
-						s.cfg.Trace.NoteSeq(seq, traceID)
-					}
-					fsyncStart = time.Now()
-					if walErr == nil {
-						walErr = wlog.Commit()
-					}
-					fsyncDur = time.Since(fsyncStart)
-				}
-				walDur := fsyncStart.Sub(walStart)
-				tableStart := time.Now()
-				if walErr == nil {
-					decisions = p.applyFrame(body, decisions[:0])
-				}
-				tableDur := time.Since(tableStart)
-				p.ingest.Unlock()
-				s.applyMu.RUnlock()
+				decisions, c, walErr = s.commit(p, body, frame[:], traceID, decisions[:0])
 				if walErr != nil {
 					// The frame was not applied; end the session with a
 					// typed server-side error rather than acknowledging
 					// events that were never durably logged.
-					s.ins.walAppendErrors.Inc()
 					terminal(trace.StreamCodeInternal, "wal append: "+walErr.Error())
 					return
 				}
-				s.ins.applyLat.Observe(time.Since(applyStart).Seconds())
+				s.ins.applyLat.Observe(c.end.Sub(c.start).Seconds())
 				s.ins.batchEvents.Observe(float64(nEvents))
 				respondStart := time.Now()
 				wireBuf, decScratch = appendDecisionsFrameCoalesced(wireBuf[:0], decisions, proto, flags, decScratch)
 				if writeWire(wireBuf) != nil {
 					return
 				}
-				if traceID != 0 {
-					tr := s.cfg.Trace
-					end := time.Now()
-					root := tr.SpanID()
-					tr.Record(obs.Span{Trace: traceID, Span: root, Stage: "batch", Program: program,
-						Events: nEvents, Seq: seq, Start: batchStart.UnixNano(), Dur: int64(end.Sub(batchStart))})
-					tr.RecordStage(traceID, root, "decode", program, nEvents, 0, decodeStart, decodeDur)
-					tr.RecordStage(traceID, root, "wal_append", program, nEvents, seq, walStart, walDur)
-					tr.RecordStage(traceID, root, "fsync", program, 0, seq, fsyncStart, fsyncDur)
-					tr.RecordStage(traceID, root, "apply", program, nEvents, 0, tableStart, tableDur)
-					tr.RecordStage(traceID, root, "respond", program, 0, 0, respondStart, end.Sub(respondStart))
-				}
+				s.recordBatch(traceID, p.key, batchStart, decodeStart, decodeEnd, c, respondStart, time.Now())
 			}
 			// Flush only when no further frame is already buffered: a
 			// pipelining client keeps the session busy, and its credits

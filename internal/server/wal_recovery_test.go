@@ -365,6 +365,7 @@ func TestWALAppendErrorFailsIngest(t *testing.T) {
 	if entries := s.table.SnapshotEntries(); len(entries) != 0 {
 		t.Fatalf("table trained %d entries despite WAL failure", len(entries))
 	}
+	assertNothingApplied(t, s, c, "gzip", "1")
 
 	st, err := c.OpenStream(context.Background(), "gzip")
 	if err != nil {
@@ -379,5 +380,40 @@ func TestWALAppendErrorFailsIngest(t *testing.T) {
 	}
 	if entries := s.table.SnapshotEntries(); len(entries) != 0 {
 		t.Fatalf("table trained %d entries despite WAL failure on the stream path", len(entries))
+	}
+	assertNothingApplied(t, s, c, "gzip", "2")
+
+	// The replica path: a shipped record the replica cannot log must not
+	// train its table either.
+	rl := newWALEnv(t).openLog(t, wal.SyncAlways)
+	r, rc := newTestServer(t, Config{WAL: rl, Replica: true})
+	if err := rl.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := r.ApplyReplicated("gzip", synthEvents(100, 1), 0); err == nil || !strings.Contains(err.Error(), "wal append") {
+		t.Fatalf("ApplyReplicated with a dead WAL: %v, want wal append error", err)
+	}
+	if entries := r.table.SnapshotEntries(); len(entries) != 0 {
+		t.Fatalf("table trained %d entries despite WAL failure on the replica path", len(entries))
+	}
+	assertNothingApplied(t, r, rc, "gzip", "1")
+	if got := metricSample(t, r.Registry(), "reactived_replication_applied_records_total"); got != "0" {
+		t.Fatalf("replica counted %s applied records despite WAL failure", got)
+	}
+}
+
+// assertNothingApplied checks that program's cursor has not moved and that
+// the server counted walErrors failed WAL appends.
+func assertNothingApplied(t *testing.T, s *Server, c *Client, program, walErrors string) {
+	t.Helper()
+	cr, err := c.Cursor(context.Background(), program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Events != 0 || cr.Instr != 0 {
+		t.Fatalf("cursor %+v advanced despite WAL failure", cr)
+	}
+	if got := metricSample(t, s.Registry(), "reactived_wal_append_errors_total"); got != walErrors {
+		t.Fatalf("reactived_wal_append_errors_total = %s, want %s", got, walErrors)
 	}
 }

@@ -50,19 +50,16 @@ import (
 // with cumulative acks instead of per-frame credits because WAL sequence
 // numbers give a total order for free.
 const (
-	// ReplicationProtoVersion is the newest replication protocol revision
-	// this build speaks. Like the ingest stream, the hello negotiates
-	// down: the primary acks min(follower, primary), so proto-1 peers are
-	// untouched.
+	// ReplicationProtoVersion is the one replication protocol revision
+	// this build speaks. A newer follower's hello negotiates down to it;
+	// an older one is rejected with proto_mismatch.
 	//
 	// Version history:
 	//
-	//	1  the original record format
-	//	2  'S' record frames gain a uvarint trace ID between the ship
+	//	1  the original record format (no longer accepted)
+	//	2  'S' record frames carry a uvarint trace ID between the ship
 	//	   timestamp and the program (0 = the record's batch was untraced)
 	ReplicationProtoVersion = 2
-	// ReplicationProtoMin is the oldest protocol revision still accepted.
-	ReplicationProtoMin = 1
 
 	// ReplFrameRecord carries one WAL record (primary → follower).
 	ReplFrameRecord = byte('S')
@@ -81,14 +78,11 @@ const ReplCodeCompacted = "compacted"
 const MaxReplPayload = MaxFramePayload + MaxHandshakeProgram + 5*binary.MaxVarintLen64
 
 // NegotiateReplProto picks the replication protocol both sides will speak:
-// the older of the follower's and this build's revisions. ok is false when
-// the follower is older than ReplicationProtoMin.
+// ReplicationProtoVersion, which a newer follower speaks down to. ok is
+// false when the follower is older.
 func NegotiateReplProto(followerProto uint32) (proto uint32, ok bool) {
-	if followerProto < ReplicationProtoMin {
-		return 0, false
-	}
 	if followerProto < ReplicationProtoVersion {
-		return followerProto, true
+		return 0, false
 	}
 	return ReplicationProtoVersion, true
 }
@@ -254,9 +248,9 @@ type ReplRecord struct {
 	// applies, as with any cross-host lag measure).
 	ShippedUnixNanos uint64
 	// Trace is the span-trace ID of the ingest batch that appended this
-	// record, zero when untraced. On the wire only at proto ≥ 2, between
-	// the ship timestamp and the program — it cannot trail the payload
-	// because Frame is defined as "the rest".
+	// record, zero when untraced. On the wire it sits between the ship
+	// timestamp and the program — it cannot trail the payload because
+	// Frame is defined as "the rest".
 	Trace   uint64
 	Program string
 	// Frame is the raw trace frame payload. Decoding on ship would be
@@ -264,32 +258,25 @@ type ReplRecord struct {
 	Frame []byte
 }
 
-// AppendReplRecord appends rec as a complete 'S' session frame to dst, in
-// the layout of the negotiated protocol revision (proto 1 omits Trace).
-func AppendReplRecord(dst []byte, rec ReplRecord, proto uint32) []byte {
+// AppendReplRecord appends rec as a complete 'S' session frame to dst.
+func AppendReplRecord(dst []byte, rec ReplRecord) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
 	dst = append(dst, ReplFrameRecord)
-	payloadLen := uvarintLen(rec.Seq) + uvarintLen(rec.Durable) + uvarintLen(rec.ShippedUnixNanos) +
-		uvarintLen(uint64(len(rec.Program))) + len(rec.Program) + len(rec.Frame)
-	if proto >= 2 {
-		payloadLen += uvarintLen(rec.Trace)
-	}
-	put(uint64(payloadLen))
+	put(uint64(uvarintLen(rec.Seq) + uvarintLen(rec.Durable) + uvarintLen(rec.ShippedUnixNanos) +
+		uvarintLen(rec.Trace) + uvarintLen(uint64(len(rec.Program))) + len(rec.Program) + len(rec.Frame)))
 	put(rec.Seq)
 	put(rec.Durable)
 	put(rec.ShippedUnixNanos)
-	if proto >= 2 {
-		put(rec.Trace)
-	}
+	put(rec.Trace)
 	put(uint64(len(rec.Program)))
 	dst = append(dst, rec.Program...)
 	return append(dst, rec.Frame...)
 }
 
-// DecodeReplRecord decodes an 'S' frame payload in the layout of the
-// negotiated protocol revision. The returned record's Frame aliases payload.
-func DecodeReplRecord(payload []byte, proto uint32) (ReplRecord, error) {
+// DecodeReplRecord decodes an 'S' frame payload. The returned record's Frame
+// aliases payload.
+func DecodeReplRecord(payload []byte) (ReplRecord, error) {
 	var rec ReplRecord
 	next := func(field string) (uint64, error) {
 		v, n := binary.Uvarint(payload)
@@ -309,10 +296,8 @@ func DecodeReplRecord(payload []byte, proto uint32) (ReplRecord, error) {
 	if rec.ShippedUnixNanos, err = next("ship timestamp"); err != nil {
 		return rec, err
 	}
-	if proto >= 2 {
-		if rec.Trace, err = next("trace context"); err != nil {
-			return rec, err
-		}
+	if rec.Trace, err = next("trace context"); err != nil {
+		return rec, err
 	}
 	progLen, err := next("program length")
 	if err != nil {

@@ -27,7 +27,7 @@ func TestReplHelloRoundTrip(t *testing.T) {
 
 func TestReplAckRoundTrip(t *testing.T) {
 	for _, want := range []ReplAck{
-		{Proto: 1, Window: 256, Oldest: 10, Next: 999},
+		{Proto: ReplicationProtoVersion, Window: 256, Oldest: 10, Next: 999},
 		{Err: &StreamError{Code: ReplCodeCompacted, Msg: "records [0, 512) compacted away"}},
 	} {
 		wire := AppendReplAck(nil, want)
@@ -55,45 +55,35 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		Program:          "gzip",
 		Frame:            frame,
 	}
-	for _, proto := range []uint32{1, 2} {
-		wire := AppendReplRecord(nil, want, proto)
+	wire := AppendReplRecord(nil, want)
 
-		br := bufio.NewReader(bytes.NewReader(wire))
-		typ, payload, _, err := ReadReplFrame(br, nil)
-		if err != nil {
-			t.Fatalf("proto %d: ReadReplFrame: %v", proto, err)
-		}
-		if typ != ReplFrameRecord {
-			t.Fatalf("proto %d: frame type %q, want %q", proto, typ, ReplFrameRecord)
-		}
-		got, err := DecodeReplRecord(payload, proto)
-		if err != nil {
-			t.Fatalf("proto %d: DecodeReplRecord: %v", proto, err)
-		}
-		if got.Seq != want.Seq || got.Durable != want.Durable ||
-			got.ShippedUnixNanos != want.ShippedUnixNanos || got.Program != want.Program {
-			t.Fatalf("proto %d: record header round trip: got %+v", proto, got)
-		}
-		// The trace context is a proto-2 field: proto 1 never carries it.
-		wantTrace := uint64(0)
-		if proto >= 2 {
-			wantTrace = want.Trace
-		}
-		if got.Trace != wantTrace {
-			t.Fatalf("proto %d: trace = %#x, want %#x", proto, got.Trace, wantTrace)
-		}
-		if !reflect.DeepEqual(got.Frame, frame) {
-			t.Fatalf("proto %d: frame payload diverges", proto)
-		}
-		// Malformed payloads must be rejected, not misparsed.
-		for cut := 0; cut < len(payload); cut++ {
-			if rec, err := DecodeReplRecord(payload[:cut], proto); err == nil {
-				// Shorter prefixes can still parse if the frame payload is
-				// merely shortened — the trace decode happens later — but the
-				// program field must never read out of bounds.
-				if len(rec.Program) > len(payload) {
-					t.Fatalf("proto %d: cut %d produced an out-of-bounds program", proto, cut)
-				}
+	br := bufio.NewReader(bytes.NewReader(wire))
+	typ, payload, _, err := ReadReplFrame(br, nil)
+	if err != nil {
+		t.Fatalf("ReadReplFrame: %v", err)
+	}
+	if typ != ReplFrameRecord {
+		t.Fatalf("frame type %q, want %q", typ, ReplFrameRecord)
+	}
+	got, err := DecodeReplRecord(payload)
+	if err != nil {
+		t.Fatalf("DecodeReplRecord: %v", err)
+	}
+	if got.Seq != want.Seq || got.Durable != want.Durable || got.ShippedUnixNanos != want.ShippedUnixNanos ||
+		got.Trace != want.Trace || got.Program != want.Program {
+		t.Fatalf("record header round trip: got %+v", got)
+	}
+	if !reflect.DeepEqual(got.Frame, frame) {
+		t.Fatal("frame payload diverges")
+	}
+	// Malformed payloads must be rejected, not misparsed.
+	for cut := 0; cut < len(payload); cut++ {
+		if rec, err := DecodeReplRecord(payload[:cut]); err == nil {
+			// Shorter prefixes can still parse if the frame payload is
+			// merely shortened — the trace decode happens later — but the
+			// program field must never read out of bounds.
+			if len(rec.Program) > len(payload) {
+				t.Fatalf("cut %d produced an out-of-bounds program", cut)
 			}
 		}
 	}
@@ -123,7 +113,7 @@ func TestNegotiateProtos(t *testing.T) {
 		ok   bool
 	}{
 		{0, 0, false},
-		{1, 1, true},
+		{1, 0, false}, // replication speaks one revision: proto 1 is refused
 		{2, 2, true},
 		{3, 2, true}, // a newer peer speaks down to us
 	}
