@@ -6,7 +6,6 @@ package reactivespec_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -156,7 +155,7 @@ func (w *discardResponseWriter) Header() http.Header         { return w.h }
 func (w *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardResponseWriter) WriteHeader(int)             {}
 
-// BenchmarkIngestHandler measures the whole POST /v1/ingest path — frame
+// BenchmarkIngestHandler measures the whole POST /v2/ingest path — frame
 // decode, batched apply, response encode — on one pre-encoded batch per op.
 // Allocations per op are the tracked number: the pooled scratch should hold
 // them near-constant in batch size.
@@ -167,7 +166,7 @@ func BenchmarkIngestHandler(b *testing.B) {
 	body := trace.AppendFrame(nil, evs)
 
 	req := httptest.NewRequest(http.MethodPost,
-		fmt.Sprintf("/v1/ingest?program=bench"), bytes.NewReader(body))
+		"/v2/ingest?program=bench&kind=branch", bytes.NewReader(body))
 	w := &discardResponseWriter{h: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()

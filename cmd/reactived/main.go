@@ -62,9 +62,11 @@
 // after the flip. GET /v1/cursor reports per-program applied-event counts,
 // the resume point failover clients re-send from.
 //
-// Endpoints: POST /v1/ingest, GET /v1/decide, GET /v1/info, POST /v1/stream
+// Endpoints: POST /v2/ingest, GET /v2/decide, GET /v1/info, POST /v1/stream
 // (upgrade to a streaming ingest session), GET /healthz, GET /metrics,
-// POST /v1/snapshot. Streaming sessions are also reachable without HTTP via
+// POST /v1/snapshot, POST /v1/promote, GET /v1/cursor; the retired
+// /v1/ingest and /v1/decide answer 410 naming their /v2 routes. Streaming
+// sessions are also reachable without HTTP via
 // -stream-addr. With -debug-addr, a second listener serves the runtime
 // profiling surface — GET /debug/pprof/ (CPU, heap, goroutine, block
 // profiles) and GET /debug/vars (expvar, including a "reactived" variable

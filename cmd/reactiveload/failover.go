@@ -137,7 +137,7 @@ func (fc *failoverCtl) await(ctx context.Context) error {
 }
 
 // checkUnitStates compares, for every unit in touched, the daemon's current
-// decision (GET /v1/decide) with the mirror's after it observes applied.
+// decision (GET /v2/decide) with the mirror's after it observes applied.
 func checkUnitStates(ctx context.Context, cl *server.Client, cfg workerConfig, applied, touched []trace.Event) error {
 	set, err := core.NewPolicySet(cfg.policy, cfg.params)
 	if err != nil {
@@ -154,18 +154,14 @@ func checkUnitStates(ctx context.Context, cl *server.Client, cfg workerConfig, a
 			continue
 		}
 		seen[ev.Branch] = true
-		got, err := cl.Decide(ctx, cfg.program, ev.Branch)
+		got, err := cl.DecideKind(ctx, cfg.program, trace.KindBranch, ev.Branch)
 		if err != nil {
 			return fmt.Errorf("reading replica unit %d of %s: %w", ev.Branch, cfg.program, err)
 		}
 		dir, live := set.Speculating(ev.Branch)
-		wantDir := "not-taken"
-		if dir {
-			wantDir = "taken"
-		}
-		if st := set.UnitState(ev.Branch).String(); got.State != st || got.Live != live || got.Direction != wantDir {
-			return fmt.Errorf("replica unit %d of %s after %d events: state %s live %v dir %s, in-process %s live %v dir %s",
-				ev.Branch, cfg.program, len(applied), got.State, got.Live, got.Direction, st, live, wantDir)
+		if st := set.UnitState(ev.Branch).String(); got.State != st || got.Live != live || got.Dir != dir {
+			return fmt.Errorf("replica unit %d of %s after %d events: state %s live %v dir %v, in-process %s live %v dir %v",
+				ev.Branch, cfg.program, len(applied), got.State, got.Live, got.Dir, st, live, dir)
 		}
 	}
 	return nil
@@ -209,7 +205,7 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 			end = len(events)
 		}
 		t0 := time.Now()
-		ds, tm, err := cl.IngestTimed(ctx, cfg.program, events[off:end])
+		ds, tm, err := postFrames(ctx, cl, cfg.program, trace.KindBranch, [][]trace.Event{events[off:end]})
 		if err != nil {
 			return nil, err
 		}

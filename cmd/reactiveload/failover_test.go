@@ -26,7 +26,7 @@ type failoverPair struct {
 }
 
 // startFailoverPair starts the pair. The primary crashes when its
-// crashAtIngest-th POST /v1/ingest arrives: that request is cut off
+// crashAtIngest-th POST /v2/ingest arrives: that request is cut off
 // unanswered and unapplied while the crash runs, so the crash always lands
 // mid-run however fast the run goes, and requests already in flight on
 // other connections race it the way they race a real SIGKILL.
@@ -44,7 +44,7 @@ func startFailoverPair(t *testing.T, crashAtIngest int64) *failoverPair {
 	crash := make(chan struct{})
 	primary := ps.Handler()
 	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/ingest" && ingests.Add(1) == crashAtIngest {
+		if r.URL.Path == "/v2/ingest" && ingests.Add(1) == crashAtIngest {
 			close(crash)
 			panic(http.ErrAbortHandler)
 		}

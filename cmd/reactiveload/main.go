@@ -8,12 +8,11 @@
 // never contend on a program cursor and the daemon's decision sequence per
 // program is deterministic. With -kind, workers round-robin over the listed
 // speculation kinds (worker w drives kinds[w mod len]), exercising the
-// daemon's kind-generic serving path: branch events ride the v1 wire
-// unchanged, other kinds go through /v2 (POST mode) or proto-4 kind-tagged
-// frames (stream mode). With -verify, every worker simultaneously runs an
-// in-process policy set (-policy selects which) over the identical event
-// sequence and fails if any networked decision differs — the end-to-end
-// closed-loop equivalence check, per kind. Verification first checks the
+// daemon's kind-generic serving path: every kind goes through /v2/ingest
+// (POST mode) or kind-tagged stream frames (stream mode). With -verify,
+// every worker simultaneously runs an in-process policy set (-policy selects
+// which) over the identical event sequence and fails if any networked
+// decision differs — the end-to-end closed-loop equivalence check, per kind. Verification first checks the
 // daemon's controller-parameter hash, served kinds, and policy against
 // /v1/info, so a misconfigured pairing fails up front with a typed mismatch
 // instead of diverging mid-run.
@@ -60,7 +59,6 @@
 //	-verify          cross-check every decision against an in-process policy set
 //	-stream          use streaming ingest sessions instead of per-batch POSTs
 //	-window n        requested stream pipeline window in frames (0 = server default)
-//	-decisions e     stream decision-frame encoding: rle (default), plain or change
 //	-stream-addr a   dial the daemon's raw stream listener instead of upgrading over HTTP;
 //	                 accepts host:port or unix:///path/to.sock
 //	-preencode       generate + encode every batch before the timed run (stream modes only),
@@ -105,17 +103,16 @@ import (
 
 // Report is the JSON result written to stdout.
 type Report struct {
-	Benchmark     string  `json:"benchmark"`
-	Input         string  `json:"input"`
-	Mode          string  `json:"mode"` // "post", "stream" or "failover"
-	Concurrency   int     `json:"concurrency"`
-	Batch         int     `json:"batch"`
-	Frames        int     `json:"frames_per_batch"`
-	Window        int     `json:"window,omitempty"`           // granted stream window
-	DecisionsWire string  `json:"stream_decisions,omitempty"` // requested decision-frame encoding (stream modes)
-	Preencode     bool    `json:"preencode,omitempty"`        // batches were encoded before the timed run
-	Intensity     float64 `json:"intensity"`
-	Verified      bool    `json:"verified"`
+	Benchmark   string  `json:"benchmark"`
+	Input       string  `json:"input"`
+	Mode        string  `json:"mode"` // "post", "stream" or "failover"
+	Concurrency int     `json:"concurrency"`
+	Batch       int     `json:"batch"`
+	Frames      int     `json:"frames_per_batch"`
+	Window      int     `json:"window,omitempty"`    // granted stream window
+	Preencode   bool    `json:"preencode,omitempty"` // batches were encoded before the timed run
+	Intensity   float64 `json:"intensity"`
+	Verified    bool    `json:"verified"`
 
 	// Kinds lists the speculation kinds workers drove (round-robin by
 	// worker index); Policy names the decision policy the -verify mirror
@@ -227,8 +224,6 @@ func run(args []string, out io.Writer) error {
 	verify := fs.Bool("verify", false, "cross-check every decision against an in-process controller")
 	streamMode := fs.Bool("stream", false, "use streaming ingest sessions instead of per-batch POSTs")
 	window := fs.Int("window", 0, "requested stream pipeline window in frames (0 = server default)")
-	decisionsMode := fs.String("decisions", "rle",
-		"stream decision-frame encoding: rle, plain or change (stream modes only)")
 	streamAddr := fs.String("stream-addr", "",
 		"dial the daemon's raw stream listener at this address instead of upgrading over HTTP (implies -stream)")
 	preencode := fs.Bool("preencode", false,
@@ -278,17 +273,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *streamAddr != "" {
 		*streamMode = true
-	}
-	var streamDecisions server.StreamDecisions
-	switch *decisionsMode {
-	case "rle":
-		streamDecisions = server.StreamDecisionsRLE
-	case "plain":
-		streamDecisions = server.StreamDecisionsPlain
-	case "change":
-		streamDecisions = server.StreamDecisionsChangeOnly
-	default:
-		return fmt.Errorf("unknown -decisions %q (want rle, plain or change)", *decisionsMode)
 	}
 	if *frames != 1 && *streamMode {
 		return fmt.Errorf("-frames does not apply to -stream (each batch is one frame on the session)")
@@ -415,7 +399,6 @@ func run(args []string, out io.Writer) error {
 			verify:     *verify,
 			window:     *window,
 			streamAddr: *streamAddr,
-			decisions:  streamDecisions,
 			tracer:     tracer,
 		}
 	}
@@ -471,7 +454,6 @@ func run(args []string, out io.Writer) error {
 		Decisions:   map[string]uint64{},
 	}
 	if *streamMode {
-		rep.DecisionsWire = *decisionsMode
 		rep.Preencode = *preencode
 	}
 	if len(kinds) > 1 || kinds[0] != trace.KindBranch {
@@ -561,7 +543,6 @@ type workerConfig struct {
 	verify     bool
 	window     int
 	streamAddr string
-	decisions  server.StreamDecisions
 	tracer     *obs.Tracer
 	pre        *prebuilt // non-nil under -preencode
 }
@@ -725,42 +706,17 @@ func runWorker(ctx context.Context, client *server.Client, ins *instruments, cfg
 
 	batch := make([]trace.Event, 0, cfg.batch)
 	frameBuf := make([][]trace.Event, 0, cfg.frames)
-	// send posts the batch as cfg.frames contiguous frames and returns the
-	// concatenated per-event decisions. A *server.BatchTruncatedError or a
-	// per-frame rejection propagates as-is, so the operator sees the
-	// "applied N of M frames" diagnostic rather than a silent drop.
-	send := func() ([]server.Decision, server.IngestTiming, error) {
-		if cfg.frames <= 1 {
-			return client.IngestKindTimed(ctx, cfg.program, cfg.kind, batch)
-		}
-		frameBuf = frameBuf[:0]
-		per := (len(batch) + cfg.frames - 1) / cfg.frames
-		for off := 0; off < len(batch); off += per {
-			end := off + per
-			if end > len(batch) {
-				end = len(batch)
-			}
-			frameBuf = append(frameBuf, batch[off:end])
-		}
-		results, tm, err := client.IngestFramesKindTimed(ctx, cfg.program, cfg.kind, frameBuf)
-		if err != nil {
-			return nil, tm, err
-		}
-		ds := make([]server.Decision, 0, len(batch))
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, tm, fmt.Errorf("frame %d of %d: %w", i, len(results), r.Err)
-			}
-			ds = append(ds, r.Decisions...)
-		}
-		return ds, tm, nil
-	}
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
+		frameBuf = frameBuf[:0]
+		per := (len(batch) + cfg.frames - 1) / cfg.frames
+		for off := 0; off < len(batch); off += per {
+			frameBuf = append(frameBuf, batch[off:min(off+per, len(batch))])
+		}
 		t0 := time.Now()
-		ds, tm, err := send()
+		ds, tm, err := postFrames(ctx, client, cfg.program, cfg.kind, frameBuf)
 		if err != nil {
 			return err
 		}
@@ -794,6 +750,25 @@ func runWorker(ctx context.Context, client *server.Client, ins *instruments, cfg
 	return res
 }
 
+// postFrames posts one batch as contiguous frames and returns the
+// concatenated per-event decisions. A *server.BatchTruncatedError or a
+// per-frame rejection propagates as-is, so the operator sees the "applied N
+// of M frames" diagnostic rather than a silent drop.
+func postFrames(ctx context.Context, cl *server.Client, program string, kind trace.Kind, frames [][]trace.Event) ([]server.Decision, server.IngestTiming, error) {
+	results, tm, err := cl.IngestFrames(ctx, program, kind, frames)
+	if err != nil {
+		return nil, tm, err
+	}
+	var ds []server.Decision
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, tm, fmt.Errorf("frame %d of %d: %w", i, len(results), r.Err)
+		}
+		ds = append(ds, r.Decisions...)
+	}
+	return ds, tm, nil
+}
+
 // runStreamWorker replays one seeded stream over a single streaming ingest
 // session: a sender goroutine pipelines batches up to the granted window
 // while the receiver (this goroutine) drains decision frames, verifies them
@@ -818,7 +793,6 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 	if cfg.window > 0 {
 		opts = append(opts, server.WithStreamWindow(cfg.window))
 	}
-	opts = append(opts, server.WithStreamDecisions(cfg.decisions))
 	if cfg.tracer != nil {
 		// OpenStream inherits the client's tracer; DialStream bypasses the
 		// client, so the raw-listener path needs it passed explicitly.

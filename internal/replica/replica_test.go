@@ -208,11 +208,11 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 		t.Fatalf("cursors diverge: primary %+v replica %+v", pc, rc)
 	}
 	// The replica serves decisions.
-	pd, err := p.client.Decide(ctx, "gzip", 3)
+	pd, err := p.client.DecideKind(ctx, "gzip", trace.KindBranch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := r.client.Decide(ctx, "gzip", 3)
+	rd, err := r.client.DecideKind(ctx, "gzip", trace.KindBranch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

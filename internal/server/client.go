@@ -44,8 +44,7 @@ type Client struct {
 	// every ingest request and checked against /v1/info by VerifyParams.
 	paramsPin string
 	// policyPin, when non-empty, is appended as the policy= query pin on
-	// every /v2 request (the /v1 compatibility endpoints have no policy
-	// parameter; the params pin's ParamsPolicyHash digest covers them).
+	// every ingest and decide request.
 	policyPin string
 	// tracer, when non-nil, samples ingest batches into client-side spans
 	// (client_encode, client_network) and propagates the trace ID to the
@@ -99,13 +98,13 @@ func WithParamsHash(h uint64) Option {
 	return func(c *Client) { c.paramsPin = formatParamsHash(h) }
 }
 
-// WithPolicy pins every /v2 request to the named decision policy: a daemon
-// serving a different one rejects the request up front — with an error
-// satisfying errors.Is(err, ErrUnknownPolicy) when the name is not
-// registered there at all, ErrParamsMismatch when it is registered but not
-// the policy being served. The /v1 kind=branch compatibility endpoints carry
-// no policy parameter; pin them through WithParamsHash with a
-// ParamsPolicyHash digest, which covers the policy.
+// WithPolicy pins every ingest and decide request to the named decision
+// policy: a daemon serving a different one rejects the request up front —
+// with an error satisfying errors.Is(err, ErrUnknownPolicy) when the name is
+// not registered there at all, ErrParamsMismatch when it is registered but
+// not the policy being served. Stream sessions carry no policy pin; pin them
+// through WithStreamParams with a ParamsPolicyHash digest, which covers the
+// policy.
 func WithPolicy(name string) Option {
 	return func(c *Client) { c.policyPin = name }
 }
@@ -249,30 +248,20 @@ type IngestTiming struct {
 	Decode time.Duration
 }
 
-// Ingest sends one batch of events as a single frame and returns the
-// per-event decisions. A rejected frame (corrupt on the wire) surfaces as an
-// error.
-//
-// Ingest is the kind=branch compatibility surface: it always posts to
-// /v1/ingest, so it works against every daemon generation. Kind-aware
-// callers use IngestKind.
+// Ingest is IngestKind for kind=branch.
 func (c *Client) Ingest(ctx context.Context, program string, events []trace.Event) ([]Decision, error) {
-	ds, _, err := c.IngestTimed(ctx, program, events)
-	return ds, err
+	return c.IngestKind(ctx, program, trace.KindBranch, events)
 }
 
-// IngestKind is Ingest for an explicit speculation kind. kind=branch posts to
-// /v1/ingest — byte-identical to Ingest, so it works against pre-kind
-// daemons; other kinds post to /v2/ingest, where a daemon that does not
+// IngestKind sends one batch of events of an explicit speculation kind as a
+// single frame and returns the per-event decisions. A rejected frame
+// (corrupt on the wire) surfaces as an error; a daemon that does not
 // recognize or serve the kind answers with an error satisfying
 // errors.Is(err, ErrUnsupportedKind).
 func (c *Client) IngestKind(ctx context.Context, program string, kind trace.Kind, events []trace.Event) ([]Decision, error) {
-	results, _, err := c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, [][]trace.Event{events})
+	results, _, err := c.IngestFrames(ctx, program, kind, [][]trace.Event{events})
 	if err != nil {
 		return nil, err
-	}
-	if len(results) != 1 {
-		return nil, fmt.Errorf("server: %d frame results for 1 frame", len(results))
 	}
 	if results[0].Err != nil {
 		return nil, results[0].Err
@@ -280,89 +269,14 @@ func (c *Client) IngestKind(ctx context.Context, program string, kind trace.Kind
 	return results[0].Decisions, nil
 }
 
-// IngestTimed is Ingest with a per-phase latency breakdown.
-func (c *Client) IngestTimed(ctx context.Context, program string, events []trace.Event) ([]Decision, IngestTiming, error) {
-	results, tm, err := c.IngestFramesTimed(ctx, program, [][]trace.Event{events})
-	if err != nil {
-		return nil, tm, err
-	}
-	if len(results) != 1 {
-		return nil, tm, fmt.Errorf("server: %d frame results for 1 frame", len(results))
-	}
-	if results[0].Err != nil {
-		return nil, tm, results[0].Err
-	}
-	return results[0].Decisions, tm, nil
-}
-
-// IngestFrames sends several frames in one batch request. The returned slice
-// has one entry per frame, in order; frames the server rejected carry an Err
-// instead of decisions. The error return covers transport- and batch-level
-// failures, with one partial-success case: a *BatchTruncatedError is
-// returned alongside the results for the frames the server did apply before
-// its framing was lost ("applied N of M frames").
-func (c *Client) IngestFrames(ctx context.Context, program string, frames [][]trace.Event) ([]IngestResult, error) {
-	results, _, err := c.IngestFramesTimed(ctx, program, frames)
-	return results, err
-}
-
-// ingestURL builds the ingest endpoint URL for program, including the
-// params pin when the client carries one.
-func (c *Client) ingestURL(program string) string {
-	u := c.base + "/v1/ingest?program=" + url.QueryEscape(program)
-	if c.paramsPin != "" {
-		u += "&params=" + c.paramsPin
-	}
-	return u
-}
-
-// ingestURLKind is ingestURL routed by kind: branch stays on the /v1
-// compatibility endpoint, every other kind goes to /v2/ingest with its kind
-// tag.
-func (c *Client) ingestURLKind(program string, kind trace.Kind) string {
-	if kind == trace.KindBranch {
-		return c.ingestURL(program)
-	}
-	u := c.base + "/v2/ingest?program=" + url.QueryEscape(program) + "&kind=" + kind.String()
-	if c.paramsPin != "" {
-		u += "&params=" + c.paramsPin
-	}
-	if c.policyPin != "" {
-		u += "&policy=" + url.QueryEscape(c.policyPin)
-	}
-	return u
-}
-
-// IngestFramesTimed is IngestFrames with a per-phase latency breakdown.
-func (c *Client) IngestFramesTimed(ctx context.Context, program string, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
-	return c.ingestFramesTimed(ctx, c.ingestURL(program), program, frames)
-}
-
-// IngestKindTimed is IngestKind with a per-phase latency breakdown.
-func (c *Client) IngestKindTimed(ctx context.Context, program string, kind trace.Kind, events []trace.Event) ([]Decision, IngestTiming, error) {
-	results, tm, err := c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, [][]trace.Event{events})
-	if err != nil {
-		return nil, tm, err
-	}
-	if len(results) != 1 {
-		return nil, tm, fmt.Errorf("server: %d frame results for 1 frame", len(results))
-	}
-	if results[0].Err != nil {
-		return nil, tm, results[0].Err
-	}
-	return results[0].Decisions, tm, nil
-}
-
-// IngestFramesKindTimed is IngestFramesTimed routed by kind: branch posts to
-// /v1/ingest (byte-identical to IngestFramesTimed, so it works against
-// pre-kind daemons), every other kind to /v2/ingest.
-func (c *Client) IngestFramesKindTimed(ctx context.Context, program string, kind trace.Kind, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
-	return c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, frames)
-}
-
-// ingestFramesTimed posts frames to an already-built ingest URL (v1 or v2 —
-// the body and response bytes are identical on both).
-func (c *Client) ingestFramesTimed(ctx context.Context, ingestURL, program string, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
+// IngestFrames sends several frames of one kind in one batch request
+// (POST /v2/ingest) and reports where the round trip's time went. The
+// returned slice has one entry per frame, in order; frames the server
+// rejected carry an Err instead of decisions. The error return covers
+// transport- and batch-level failures, with one partial-success case: a
+// *BatchTruncatedError is returned alongside the results for the frames the
+// server did apply before its framing was lost ("applied N of M frames").
+func (c *Client) IngestFrames(ctx context.Context, program string, kind trace.Kind, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
 	var tm IngestTiming
 	traceID := c.tracer.SampleBatch()
 	nEvents := 0
@@ -378,8 +292,12 @@ func (c *Client) ingestFramesTimed(ctx context.Context, ingestURL, program strin
 	tm.Encode = time.Since(encodeStart)
 	c.tracer.RecordStage(traceID, 0, "client_encode", program, nEvents, 0, encodeStart, tm.Encode)
 
+	u := c.dataURL("ingest", program, kind)
+	if c.paramsPin != "" {
+		u += "&params=" + c.paramsPin
+	}
 	netStart := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ingestURL, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return nil, tm, fmt.Errorf("server: ingest: %w", err)
 	}
@@ -498,43 +416,22 @@ func parseIngestResponse(body io.Reader) (results []IngestResult, truncated stri
 	return results, string(msg), nil
 }
 
-// Decide queries a branch's current classification.
-//
-// Decide is the kind=branch compatibility surface (it always queries
-// /v1/decide); kind-aware callers use DecideKind.
-func (c *Client) Decide(ctx context.Context, program string, id trace.BranchID) (DecideResponse, error) {
-	var out DecideResponse
-	u := c.base + "/v1/decide?program=" + url.QueryEscape(program) +
-		"&branch=" + strconv.FormatUint(uint64(id), 10)
+// DecideKind queries a unit's current classification for an explicit
+// speculation kind (GET /v2/decide).
+func (c *Client) DecideKind(ctx context.Context, program string, kind trace.Kind, id trace.BranchID) (DecideV2Response, error) {
+	var out DecideV2Response
+	u := c.dataURL("decide", program, kind) + "&id=" + strconv.FormatUint(uint64(id), 10)
 	return out, c.getJSON(ctx, "decide", u, &out)
 }
 
-// DecideKind queries a unit's current classification for an explicit
-// speculation kind. kind=branch queries the /v1 compatibility endpoint (so
-// it works against pre-kind daemons) and adapts the answer; other kinds
-// query /v2/decide.
-func (c *Client) DecideKind(ctx context.Context, program string, kind trace.Kind, id trace.BranchID) (DecideV2Response, error) {
-	if kind == trace.KindBranch {
-		v1, err := c.Decide(ctx, program, id)
-		if err != nil {
-			return DecideV2Response{}, err
-		}
-		return DecideV2Response{
-			Program: v1.Program,
-			Kind:    trace.KindBranch.String(),
-			ID:      v1.Branch,
-			State:   v1.State,
-			Dir:     v1.Direction == "taken",
-			Live:    v1.Live,
-		}, nil
-	}
-	var out DecideV2Response
-	u := c.base + "/v2/decide?program=" + url.QueryEscape(program) +
-		"&kind=" + kind.String() + "&id=" + strconv.FormatUint(uint64(id), 10)
+// dataURL builds a /v2 data-plane URL (op is "ingest" or "decide") for
+// program and kind, with the client's policy pin when it carries one.
+func (c *Client) dataURL(op, program string, kind trace.Kind) string {
+	u := c.base + "/v2/" + op + "?program=" + url.QueryEscape(program) + "&kind=" + kind.String()
 	if c.policyPin != "" {
 		u += "&policy=" + url.QueryEscape(c.policyPin)
 	}
-	return out, c.getJSON(ctx, "decide", u, &out)
+	return u
 }
 
 // Healthz fetches the daemon's health summary.

@@ -7,13 +7,13 @@ import (
 	"net/http"
 )
 
-// Every /v1/* failure path answers with one JSON envelope:
+// Every HTTP failure path answers with one JSON envelope:
 //
 //	{"error": "<human diagnostic>", "code": "<machine code>"}
 //
 // under a consistent status-code policy: 400 for malformed requests, 405 for
-// a wrong method, 409 for a controller-parameter mismatch, 503 while
-// draining, 500 for internal faults. The Go client decodes the envelope into
+// a wrong method, 409 for a controller-parameter mismatch, 410 for a retired
+// route, 503 while draining, 500 for internal faults. The Go client decodes the envelope into
 // an *APIError, and maps the draining and param-mismatch codes onto the
 // ErrDraining and ErrParamsMismatch sentinels so callers can errors.Is them
 // without string matching.
@@ -47,6 +47,9 @@ const (
 	// registered at all. (A registered-but-different policy is a
 	// param_mismatch: the daemon could serve it, just isn't.)
 	CodeUnknownPolicy = "unknown_policy"
+	// CodeGone labels a request to a retired data-plane route (/v1/ingest,
+	// /v1/decide); the message names the /v2 route that replaced it.
+	CodeGone = "gone"
 	// CodeInternal labels a server-side failure.
 	CodeInternal = "internal"
 )
@@ -73,7 +76,7 @@ var ErrUnsupportedKind = errors.New("server: unsupported speculation kind")
 // ErrUnknownPolicy reports a request pinned to an unregistered policy name.
 var ErrUnknownPolicy = errors.New("server: unknown policy")
 
-// errorEnvelope is the JSON wire form of every /v1/* failure.
+// errorEnvelope is the JSON wire form of every HTTP failure.
 type errorEnvelope struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`

@@ -15,7 +15,7 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// TestErrorEnvelopeConformance walks every /v1/* handler's failure paths and
+// TestErrorEnvelopeConformance walks every HTTP handler's failure paths and
 // checks the one contract they all share: a JSON {"error", "code"} envelope
 // with the documented status code, served as application/json.
 func TestErrorEnvelopeConformance(t *testing.T) {
@@ -42,14 +42,16 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"ingest wrong method", liveTS.URL, http.MethodGet, "/v1/ingest?program=p", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"ingest missing program", liveTS.URL, http.MethodPost, "/v1/ingest", http.StatusBadRequest, CodeMalformed},
-		{"ingest bad params pin", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&params=zzz", http.StatusBadRequest, CodeMalformed},
-		{"ingest params mismatch", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&params=" + wrongPin, http.StatusConflict, CodeParamMismatch},
-		{"ingest draining", drainTS.URL, http.MethodPost, "/v1/ingest?program=p", http.StatusServiceUnavailable, CodeDraining},
-		{"decide wrong method", liveTS.URL, http.MethodPost, "/v1/decide?program=p&branch=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"decide missing program", liveTS.URL, http.MethodGet, "/v1/decide?branch=0", http.StatusBadRequest, CodeMalformed},
-		{"decide bad branch", liveTS.URL, http.MethodGet, "/v1/decide?program=p&branch=x", http.StatusBadRequest, CodeMalformed},
+		{"ingest wrong method", liveTS.URL, http.MethodGet, "/v2/ingest?program=p&kind=branch", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"ingest missing program", liveTS.URL, http.MethodPost, "/v2/ingest?kind=branch", http.StatusBadRequest, CodeMalformed},
+		{"ingest bad params pin", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=branch&params=zzz", http.StatusBadRequest, CodeMalformed},
+		{"ingest params mismatch", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=branch&params=" + wrongPin, http.StatusConflict, CodeParamMismatch},
+		{"ingest draining", drainTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=branch", http.StatusServiceUnavailable, CodeDraining},
+		{"decide wrong method", liveTS.URL, http.MethodPost, "/v2/decide?program=p&kind=branch&id=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"decide missing program", liveTS.URL, http.MethodGet, "/v2/decide?kind=branch&id=0", http.StatusBadRequest, CodeMalformed},
+		{"decide bad branch", liveTS.URL, http.MethodGet, "/v2/decide?program=p&kind=branch&id=x", http.StatusBadRequest, CodeMalformed},
+		{"v1 ingest retired", liveTS.URL, http.MethodPost, "/v1/ingest?program=p", http.StatusGone, CodeGone},
+		{"v1 decide retired", liveTS.URL, http.MethodGet, "/v1/decide?program=p&branch=0", http.StatusGone, CodeGone},
 		{"info wrong method", liveTS.URL, http.MethodPost, "/v1/info", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"stream wrong method", liveTS.URL, http.MethodGet, "/v1/stream", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"stream draining", drainTS.URL, http.MethodPost, "/v1/stream", http.StatusServiceUnavailable, CodeDraining},
@@ -142,6 +144,41 @@ func TestClientErrorMapping(t *testing.T) {
 	mispinned := Connect(c4.base, WithPolicy("selftrain"))
 	if _, err := mispinned.DecideKind(context.Background(), "p", trace.KindValue, 0); !errors.Is(err, ErrParamsMismatch) {
 		t.Fatalf("DecideKind with mismatched policy pin = %v, want ErrParamsMismatch", err)
+	}
+}
+
+// TestRetiredV1DataRoutes pins the answer an old client gets from the
+// removed /v1 data plane: a 410 envelope whose message names the /v2 route
+// with kind=branch, which the client decodes into an *APIError.
+func TestRetiredV1DataRoutes(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		method, path, wantRoute string
+	}{
+		{http.MethodPost, "/v1/ingest?program=p", "POST /v2/ingest?program=P&kind=branch"},
+		{http.MethodGet, "/v1/decide?program=p&branch=0", "GET /v2/decide?program=P&kind=branch&id=N"},
+	} {
+		req, err := http.NewRequestWithContext(ctx, tc.method, c.base+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = httpError("legacy", resp)
+		resp.Body.Close()
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("%s %s: error %T is not *APIError", tc.method, tc.path, err)
+		}
+		if apiErr.Status != http.StatusGone || apiErr.Code != CodeGone {
+			t.Fatalf("%s %s: APIError = %+v, want 410 %s", tc.method, tc.path, apiErr, CodeGone)
+		}
+		if !strings.Contains(apiErr.Message, tc.wantRoute) {
+			t.Fatalf("%s %s: message %q does not name %q", tc.method, tc.path, apiErr.Message, tc.wantRoute)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ const (
 // FNV-1a over a fixed-order binary serialization of every core.Params field.
 // Two processes agree on the hash exactly when they would compute identical
 // decisions for identical event sequences, so the stream handshake, the
-// optional params pin on /v1/ingest, and reactiveload -verify all use it to
+// optional params pin on /v2/ingest, and reactiveload -verify all use it to
 // reject configuration skew up front instead of silently diverging.
 func ParamsHash(p core.Params) uint64 {
 	var buf [8]byte

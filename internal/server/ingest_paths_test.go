@@ -50,7 +50,7 @@ func corruptBatchBody(t *testing.T, good1, bad, good2 []trace.Event) *bytes.Buff
 }
 
 // TestIngestPathCounters pins what each ingest route counts: fixed traffic
-// through POST /v1 and /v2, one stream session and ApplyReplicated lands on
+// through POST /v2, one stream session and ApplyReplicated lands on
 // exact values of the per-transport counters and of the apply-latency and
 // batch-size summaries, which only client transports feed.
 func TestIngestPathCounters(t *testing.T) {
@@ -61,11 +61,11 @@ func TestIngestPathCounters(t *testing.T) {
 	s, c := env.newServer(t, l)
 
 	// POST: a two-frame batch, a batch with one corrupt frame of three, a
-	// one-frame batch, and a /v2 batch of another kind.
-	if _, err := c.IngestFrames(ctx, "post", [][]trace.Event{synthEvents(300, 1), synthEvents(200, 2)}); err != nil {
+	// one-frame batch, and a batch of another kind.
+	if _, _, err := c.IngestFrames(ctx, "post", trace.KindBranch, [][]trace.Event{synthEvents(300, 1), synthEvents(200, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(c.base+"/v1/ingest?program=post", "application/octet-stream",
+	resp, err := http.Post(c.base+"/v2/ingest?program=post&kind=branch", "application/octet-stream",
 		corruptBatchBody(t, synthEvents(100, 3), synthEvents(100, 4), synthEvents(100, 5)))
 	if err != nil {
 		t.Fatal(err)

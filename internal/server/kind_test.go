@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,149 +84,95 @@ func TestMixedKindIsolationSameProgram(t *testing.T) {
 	}
 }
 
-// TestV1V2ByteExactBranch pins the migration contract for kind=branch: a /v2
-// ingest with kind=branch produces byte-identical response bodies to the
-// same events POSTed to /v1/ingest, and both endpoints drive the same table
-// entry (the branch kind-program key is the plain program name).
+// TestV1V2ByteExactBranch pins the /v1 → /v2 migration contract for
+// kind=branch: a /v2 ingest answers with exactly the bytes the retired
+// /v1/ingest sent — the RSPD encoding of the table's decisions — and trains
+// the table entry under the plain program name, so state a /v1 client built
+// resumes unchanged.
 func TestV1V2ByteExactBranch(t *testing.T) {
-	post := func(c *Client, path string, body []byte) (int, []byte) {
-		t.Helper()
-		resp, err := http.Post(c.base+path, "application/octet-stream", bytes.NewReader(body))
+	s, c := newTestServer(t, Config{})
+	ref := NewTable(s.cfg.Params)
+	var instr uint64
+	for i, b := range streamBatches(synthEvents(6000, 9), 1500) {
+		resp, err := http.Post(c.base+"/v2/ingest?program=gzip&kind=branch", "application/octet-stream",
+			bytes.NewReader(trace.AppendFrame(nil, b)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, out
-	}
-
-	evs := synthEvents(6000, 9)
-	var body []byte
-	for _, b := range streamBatches(evs, 1500) {
-		body = trace.AppendFrame(nil, b)
-
-		// Fresh server per endpoint: identical inputs from identical state.
-		_, v1c := newTestServer(t, Config{})
-		_, v2c := newTestServer(t, Config{})
-		s1, b1 := post(v1c, "/v1/ingest?program=gzip", body)
-		s2, b2 := post(v2c, "/v2/ingest?program=gzip&kind=branch", body)
-		if s1 != http.StatusOK || s2 != http.StatusOK {
-			t.Fatalf("status v1=%d v2=%d", s1, s2)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d", i, resp.StatusCode)
 		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("v1 and v2 response bodies differ for kind=branch:\n v1 %x\n v2 %x", b1, b2)
-		}
-	}
-
-	// Same server: alternating endpoints continue one decision stream, so
-	// the two surfaces are views of one entry, not parallel copies.
-	_, c := newTestServer(t, Config{})
-	var mixed []Decision
-	for i, b := range streamBatches(evs, 1500) {
-		var (
-			ds  []Decision
-			err error
-		)
-		if i%2 == 0 {
-			ds, err = c.Ingest(context.Background(), "gzip", b)
-		} else {
-			ds, err = c.IngestKind(context.Background(), "gzip", trace.KindBranch, b)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixed = append(mixed, ds...)
-	}
-	_, ref := newTestServer(t, Config{})
-	var want []Decision
-	for _, b := range streamBatches(evs, 1500) {
-		ds, err := ref.Ingest(context.Background(), "gzip", b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var ds []byte
+		ds, instr = ref.ApplyBatch("gzip", b, instr, nil)
+		want := append([]byte{}, respMagic[:]...)
+		want = binary.AppendUvarint(want, 1)
+		want = append(want, ingestApplied)
+		want = binary.AppendUvarint(want, uint64(len(ds)))
 		want = append(want, ds...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("batch %d: kind=branch response differs from the /v1 encoding:\n got %x\nwant %x", i, got, want)
+		}
 	}
-	if !reflect.DeepEqual(mixed, want) {
-		t.Fatal("alternating v1/v2 ingest diverged from a pure v1 stream")
+	if got, want := s.table.SnapshotEntries(), ref.SnapshotEntries(); !reflect.DeepEqual(got, want) {
+		t.Fatal("kind=branch ingest did not train the plain program name's entry")
 	}
 }
 
-// TestStreamProto3Proto4InteropByteExact is the cross-version stream matrix:
-// a proto-3 session (no kind tag) and a proto-4 session carrying the
-// explicit kind=branch tag must receive byte-identical ack tails and
-// byte-identical decision frames for the same events. The only permitted
-// wire difference is the negotiated proto number itself.
+// TestStreamProto3Proto4InteropByteExact is the cross-version stream pin
+// for a client moving from proto 3 to proto 4: a proto-3 hello (no kind tag
+// on its frames) gets exactly the proto_mismatch reject and a hang-up, and a
+// proto-4 session carrying the explicit kind=branch tag gets exactly the
+// proto-4 ack and, for every batch, exactly the decision frame a proto-3
+// session was sent — RLE 'd' when its payload is strictly shorter, plain 'D'
+// otherwise — over the reference table's decisions.
 func TestStreamProto3Proto4InteropByteExact(t *testing.T) {
-	type session struct {
-		conn net.Conn
-		br   *bufio.Reader
+	s, _ := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	open := func(proto uint32) (*session, trace.Ack) {
-		t.Helper()
-		s, _ := newTestServer(t, Config{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go s.ServeStream(ln)
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		hs := trace.Handshake{Proto: proto, ParamsHash: s.paramsHash, Window: 4, Program: "gzip"}
-		if _, err := conn.Write(trace.AppendHandshake(nil, hs)); err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(conn)
-		ack, err := trace.ReadAck(br)
-		if err != nil {
-			t.Fatalf("proto %d ack: %v", proto, err)
-		}
-		if ack.Err != nil {
-			t.Fatalf("proto %d rejected: %v", proto, ack.Err)
-		}
-		if ack.Proto != proto {
-			t.Fatalf("proto %d negotiated %d", proto, ack.Proto)
-		}
-		return &session{conn: conn, br: br}, ack
-	}
-
-	s3, ack3 := open(3)
-	s4, ack4 := open(4)
-	if ack3.Window != ack4.Window || ack3.Flags != ack4.Flags || ack3.ParamsHash != ack4.ParamsHash {
-		t.Fatalf("ack tails diverge: proto3 %+v proto4 %+v", ack3, ack4)
-	}
+	defer ln.Close()
+	go s.ServeStream(ln)
 
 	evs := synthEvents(8000, 13)
-	var scratch3, scratch4 []byte
-	for i, b := range streamBatches(evs, 1000) {
-		p3 := trace.EncodeFrameAppend(trace.AppendTraceContext(nil, 0), b)
+	batches := streamBatches(evs, 1000)
+
+	hello3 := trace.AppendHandshake(nil, trace.Handshake{Proto: 3, ParamsHash: s.paramsHash, Window: 4, Program: "gzip"})
+	p3 := trace.EncodeFrameAppend(trace.AppendTraceContext(nil, 0), batches[0])
+	hello3 = trace.AppendSessionFrame(hello3, trace.StreamFrameEvents, p3)
+	conn3, br3 := dialRawHello(t, ln.Addr().String(), hello3, protoRejectAck(3))
+	expectHangUp(t, conn3, br3)
+
+	conn4, br4 := dialRawHello(t, ln.Addr().String(),
+		rawHello(4, s.paramsHash, 4, "gzip"), proto4Ack(4, s.paramsHash))
+	ref := NewTable(s.cfg.Params)
+	var instr uint64
+	var ds, got []byte
+	for i, b := range batches {
 		p4 := trace.EncodeFrameAppend(trace.AppendKind(trace.AppendTraceContext(nil, 0), trace.KindBranch), b)
-		if _, err := s3.conn.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, p3)); err != nil {
+		if _, err := conn4.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, p4)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s4.conn.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, p4)); err != nil {
-			t.Fatal(err)
+		ds, instr = ref.ApplyBatch("gzip", b, instr, ds[:0])
+		want := trace.AppendSessionFrame(nil, trace.StreamFrameDecisions, trace.AppendDecisionsPlain(nil, ds))
+		if rle := trace.AppendDecisionsRLE(nil, ds); len(rle) < len(trace.AppendDecisionsPlain(nil, ds)) {
+			want = trace.AppendSessionFrame(nil, trace.StreamFrameDecisionsRLE, rle)
 		}
-		typ3, pay3, sc3, err := trace.ReadSessionFrame(s3.br, scratch3)
-		if err != nil {
-			t.Fatalf("batch %d proto3: %v", i, err)
+		got = append(got[:0], make([]byte, len(want))...)
+		if _, err := readFull(br4, got); err != nil {
+			t.Fatalf("batch %d: reading decisions: %v", i, err)
 		}
-		scratch3 = sc3
-		typ4, pay4, sc4, err := trace.ReadSessionFrame(s4.br, scratch4)
-		if err != nil {
-			t.Fatalf("batch %d proto4: %v", i, err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("batch %d: proto-4 decision frame bytes changed:\n got %x\nwant %x", i, got, want)
 		}
-		scratch4 = sc4
-		if typ3 != typ4 || !bytes.Equal(pay3, pay4) {
-			t.Fatalf("batch %d: proto-3 and proto-4 decision frames diverge:\n p3 %c %x\n p4 %c %x",
-				i, typ3, pay3, typ4, pay4)
-		}
+	}
+	if n := s.table.Metrics().Events; n != uint64(len(evs)) {
+		t.Fatalf("server applied %d events, want the proto-4 session's %d alone", n, len(evs))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -39,7 +40,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 
 	// Reads still serve.
-	if _, err := c.Decide(context.Background(), "gzip", 0); err != nil {
+	if _, err := c.DecideKind(context.Background(), "gzip", trace.KindBranch, 0); err != nil {
 		t.Fatalf("decide on a replica: %v", err)
 	}
 	info, err := c.Info(context.Background())

@@ -23,8 +23,11 @@ import (
 
 // HTTP API:
 //
-//	POST /v1/ingest?program=P
-//	  Body: one or more trace frames (trace.WriteFrame). Events are applied
+//	POST /v2/ingest?program=P&kind=K
+//	  Body: one or more trace frames (trace.WriteFrame). kind names a
+//	  speculation kind (trace.ParseKind); kind=branch lands on the plain
+//	  program name's table key, so its state, cursor and WAL records are
+//	  exactly what the retired /v1/ingest produced. Events are applied
 //	  in order; the per-program instruction cursor advances by each event's
 //	  gap. A corrupt frame is rejected and skipped — the rest of the batch
 //	  still applies (per-batch corruption handling, not per-connection).
@@ -51,34 +54,26 @@ import (
 //	  is taken, so a slow client cannot stall other ingesters for its
 //	  program.
 //
-//	  An optional params=<hex hash> query pins the request to a controller
-//	  parameter hash (see ParamsHash); a mismatch is rejected with 409
-//	  before any event is applied.
+//	  An unknown kind name, or a kind the daemon is not serving, is rejected
+//	  with the unsupported_kind code before any event applies. An optional
+//	  params=<hex hash> query pins the request to a controller parameter
+//	  hash (see ParamsHash); a mismatch is rejected with 409. An optional
+//	  policy=<name> query pins the request to the daemon's policy the same
+//	  way: an unregistered name is rejected with unknown_policy (400), a
+//	  registered-but-different one with param_mismatch (409).
 //
-//	GET  /v1/decide?program=P&branch=N   → JSON DecideResponse
+//	GET  /v2/decide?program=P&kind=K&id=N → JSON DecideV2Response; same kind
+//	  and policy validation as /v2/ingest.
 //	GET  /v1/info                        → JSON Info (API/proto version, params hash)
 //	POST /v1/stream                      → upgrade to a streaming ingest session (stream.go)
 //	GET  /healthz                        → JSON health summary
 //	GET  /metrics                        → Prometheus text exposition
 //	POST /v1/snapshot                    → force a snapshot, JSON result
 //
-//	POST /v2/ingest?program=P&kind=K     → kind-aware ingest; body and response
-//	  format are byte-identical to /v1/ingest. kind names a speculation kind
-//	  (trace.ParseKind); kind=branch lands on exactly the table keys /v1/ingest
-//	  uses, so a program can migrate endpoint by endpoint without resetting
-//	  its state. An unknown kind name, or a kind the daemon is not serving, is
-//	  rejected with the unsupported_kind code before any event applies. An
-//	  optional policy=<name> query pins the request to the daemon's policy the
-//	  way params= pins the parameter hash: an unregistered name is rejected
-//	  with unknown_policy (400), a registered-but-different one with
-//	  param_mismatch (409).
-//	GET  /v2/decide?program=P&kind=K&id=N → JSON DecideV2Response; same kind
-//	  and policy validation as /v2/ingest.
-//
-// The /v1/* endpoints are the compatibility surface: they serve kind=branch
-// exactly as they did before kinds existed, byte for byte. Program names
-// containing a NUL byte are rejected on every path (NUL introduces the
-// internal kind-key encoding, trace.EncodeKindProgram).
+// The retired /v1/ingest and /v1/decide answer 410 with the gone code and a
+// message naming their /v2 route. Program names containing a NUL byte are
+// rejected on every path (NUL introduces the internal kind-key encoding,
+// trace.EncodeKindProgram).
 //
 // Every failure path answers with the unified JSON error envelope
 // {"error": ..., "code": ...} defined in errors.go.
@@ -93,7 +88,7 @@ const (
 // respMagic introduces an ingest response.
 var respMagic = [4]byte{'R', 'S', 'P', 'D'}
 
-// TraceHeader is the optional POST /v1/ingest request header carrying a
+// TraceHeader is the optional POST /v2/ingest request header carrying a
 // client-minted trace ID (decimal). A batch arriving with it joins that trace
 // instead of rolling the server's sampler, so client-side encode/network
 // spans and the server's batch spans line up under one ID.
@@ -280,8 +275,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", s.handleIngest)
-	mux.HandleFunc("/v1/decide", s.handleDecide)
+	mux.HandleFunc("/v1/ingest", retiredRoute("POST /v2/ingest?program=P&kind=branch"))
+	mux.HandleFunc("/v1/decide", retiredRoute("GET /v2/decide?program=P&kind=branch&id=N"))
 	mux.HandleFunc("/v2/ingest", s.handleIngestV2)
 	mux.HandleFunc("/v2/decide", s.handleDecideV2)
 	mux.HandleFunc("/v1/info", s.handleInfo)
@@ -332,25 +327,19 @@ func (sc *ingestScratch) release() {
 	ingestScratchPool.Put(sc)
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	program, _, ok := s.ingestPrecheck(w, r)
-	if !ok {
-		return
+// retiredRoute answers a removed /v1 data-plane route with a typed 410 that
+// names its /v2 replacement, so an old client gets a diagnostic instead of
+// the mux's plain-text 404.
+func retiredRoute(replacement string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusGone, CodeGone, r.URL.Path+" was removed; use "+replacement)
 	}
-	// pprof labels let a CPU profile split ingest work by program, transport
-	// and role; the body runs inside the labeled region so decode/apply
-	// samples carry them.
-	pprof.Do(r.Context(), pprof.Labels(
-		"program", program, "transport", "post", "role", s.Mode(),
-	), func(context.Context) {
-		s.ingestBatch(w, r, program)
-	})
 }
 
-// ingestPrecheck runs the checks both POST ingest endpoints make before
-// reading a byte of the body — method, draining, read-only, program name,
-// params pin — answering the request itself on failure. It returns the
-// program and the parsed query.
+// ingestPrecheck runs the checks POST ingest makes before reading a byte of
+// the body — method, draining, read-only, program name, params pin —
+// answering the request itself on failure. It returns the program and the
+// parsed query.
 func (s *Server) ingestPrecheck(w http.ResponseWriter, r *http.Request) (string, url.Values, bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
@@ -411,7 +400,7 @@ func (s *Server) checkParamsPin(w http.ResponseWriter, pin string) bool {
 	return true
 }
 
-// checkKindPolicy validates a /v2 request's kind parameter and optional
+// checkKindPolicy validates a request's kind parameter and optional
 // policy pin, answering the request itself on failure. It returns the parsed
 // kind.
 func (s *Server) checkKindPolicy(w http.ResponseWriter, q map[string][]string) (trace.Kind, bool) {
@@ -460,10 +449,10 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Everything below /v2 validation is the /v1 batch path on the encoded
-	// kind-program key: the WAL record, the cursor, the table keys, and the
-	// response bytes are exactly what a /v1 ingest of the same body would
-	// produce for kind=branch (the key is the plain name then).
+	// pprof labels let a CPU profile split ingest work by program, kind,
+	// transport and role; the body runs inside the labeled region so
+	// decode/apply samples carry them. kind=branch's key is the plain
+	// program name.
 	pprof.Do(r.Context(), pprof.Labels(
 		"program", program, "kind", kind.String(), "transport", "post", "role", s.Mode(),
 	), func(context.Context) {
@@ -471,7 +460,7 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestBatch is handleIngest's validated body: decode, log, apply, respond.
+// ingestBatch is handleIngestV2's validated body: decode, log, apply, respond.
 func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program string) {
 	start := time.Now()
 
@@ -588,47 +577,9 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 	s.recordBatch(traceID, p.key, start, decodeStart, decodeEnd, c, respondStart, end)
 }
 
-// DecideResponse is the JSON answer of /v1/decide.
-type DecideResponse struct {
-	Program   string `json:"program"`
-	Branch    uint32 `json:"branch"`
-	State     string `json:"state"`
-	Direction string `json:"direction"` // "taken" or "not-taken"
-	Live      bool   `json:"live"`
-}
-
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	program := r.URL.Query().Get("program")
-	if !checkProgram(w, program) {
-		return
-	}
-	branch, err := strconv.ParseUint(r.URL.Query().Get("branch"), 10, 32)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "bad branch parameter: "+err.Error())
-		return
-	}
-	d := s.table.Decide(program, trace.BranchID(branch))
-	dir := "not-taken"
-	if d.Dir {
-		dir = "taken"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, DecideResponse{
-		Program:   program,
-		Branch:    uint32(branch),
-		State:     d.State.String(),
-		Direction: dir,
-		Live:      d.Live,
-	})
-}
-
-// DecideV2Response is the JSON answer of /v2/decide. Unlike the v1 response
-// it carries the raw speculation direction as a boolean — "taken" wording
-// only makes sense for branches.
+// DecideV2Response is the JSON answer of /v2/decide. It carries the raw
+// speculation direction as a boolean — "taken" wording only makes sense for
+// branches.
 type DecideV2Response struct {
 	Program string `json:"program"`
 	Kind    string `json:"kind"`

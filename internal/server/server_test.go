@@ -54,12 +54,12 @@ func TestIngestAndDecide(t *testing.T) {
 	}
 
 	// Decide must agree with the table's view.
-	dr, err := c.Decide(context.Background(), "gzip", 0)
+	dr, err := c.DecideKind(context.Background(), "gzip", trace.KindBranch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := s.Table().Decide("gzip", 0)
-	if (dr.State != d.State.String()) || dr.Live != d.Live {
+	if (dr.State != d.State.String()) || dr.Live != d.Live || dr.Dir != d.Dir {
 		t.Fatalf("decide %+v, table %v", dr, d)
 	}
 
@@ -151,7 +151,7 @@ func TestIngestRejectsBadFramePerBatch(t *testing.T) {
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ingest?program=p", "application/octet-stream", &body)
+	resp, err := http.Post(ts.URL+"/v2/ingest?program=p&kind=branch", "application/octet-stream", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestIngestBadQueryAndMethod(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/octet-stream", bytes.NewReader(nil))
+	resp, err := http.Post(ts.URL+"/v2/ingest?kind=branch", "application/octet-stream", bytes.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestIngestBadQueryAndMethod(t *testing.T) {
 		t.Fatalf("missing program: status %s, want 400", resp.Status)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/ingest?program=p")
+	resp, err = http.Get(ts.URL + "/v2/ingest?program=p&kind=branch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIngestBadQueryAndMethod(t *testing.T) {
 		t.Fatalf("GET ingest: status %s, want 405", resp.Status)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/decide?program=p&branch=bogus")
+	resp, err = http.Get(ts.URL + "/v2/decide?program=p&kind=branch&id=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDrainRejectsNewIngest(t *testing.T) {
 	if !h.Draining {
 		t.Fatal("health must report draining")
 	}
-	if _, err := c.Decide(context.Background(), "p", 0); err != nil {
+	if _, err := c.DecideKind(context.Background(), "p", trace.KindBranch, 0); err != nil {
 		t.Fatalf("decide while draining: %v", err)
 	}
 }

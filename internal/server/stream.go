@@ -26,7 +26,7 @@ import (
 //   - a dedicated raw TCP listener (reactived -stream-addr) where the
 //     session protocol starts immediately after connect.
 //
-// Decisions are byte-identical to the /v1/ingest path: both log and train
+// Decisions are byte-identical to the /v2/ingest path: both log and train
 // the same table partition through the same commit, so a program's event
 // order, and therefore its decision sequence and cursor, is independent of
 // the transport
@@ -211,12 +211,11 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		}
 	}
 	proto, protoOK := trace.NegotiateStreamProto(hs.Proto)
-	flags := trace.NegotiateStreamFlags(proto, hs.Flags)
 	switch {
 	case !protoOK:
 		reject(trace.StreamCodeProtoMismatch, fmt.Sprintf(
-			"client speaks stream protocol %d, server supports %d..%d",
-			hs.Proto, trace.StreamProtoMin, trace.StreamProtoVersion))
+			"client speaks stream protocol %d, server speaks %d",
+			hs.Proto, trace.StreamProtoVersion))
 		return
 	case hs.Program == "":
 		reject(trace.StreamCodeMalformed, "missing program name")
@@ -254,7 +253,7 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	s.ins.streamSessions.Inc()
 
 	wireBuf = trace.AppendAck(wireBuf[:0], trace.Ack{
-		Proto: proto, Flags: flags, Window: window, ParamsHash: s.paramsHash,
+		Proto: proto, Window: window, ParamsHash: s.paramsHash,
 	})
 	if writeWire(wireBuf) != nil || bw.Flush() != nil {
 		return
@@ -266,19 +265,17 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	pprof.Do(context.Background(), pprof.Labels(
 		"program", hs.Program, "transport", "stream", "role", s.Mode(),
 	), func(context.Context) {
-		s.streamFrameLoop(conn, br, bw, ss, hs.Program, proto, flags, writeWire)
+		s.streamFrameLoop(conn, br, bw, ss, hs.Program, writeWire)
 	})
 }
 
 // streamFrameLoop runs one established session's event/decision loop to
 // completion: event frames in, decision (or reject) frames out, terminal
-// frame last. proto is the negotiated session protocol; at 2 every event
-// frame payload starts with a trace context; at 3 decision frames may be
-// coalesced per flags; at 4 a speculation-kind tag follows the trace
-// context, routing each frame to its own (program, kind) table partition. Below proto 4 every frame is implicitly kind=branch and the session
-// is byte-identical to the pre-kind protocol. A frame tagged with a kind the
-// daemon does not serve is rejected per-frame ('R'), like a corrupt payload:
-// the session survives, and the other kinds' frames keep applying.
+// frame last. Every event frame payload starts with a trace context and a
+// speculation-kind tag, which routes the frame to its own (program, kind)
+// table partition. A frame tagged with a kind the daemon does not serve is
+// rejected per-frame ('R'), like a corrupt payload: the session survives,
+// and the other kinds' frames keep applying.
 //
 // The read path is zero-copy at the byte level: ReadSessionFrameBuffered
 // hands back a payload aliasing the connection read buffer, the frame is
@@ -288,7 +285,7 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 // allocates nothing per frame, and the payload is fully consumed before the
 // next read invalidates it.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
-	ss *streamSession, program string, proto, flags uint32, writeWire func([]byte) error) {
+	ss *streamSession, program string, writeWire func([]byte) error) {
 	// terminal ends the session with a typed frame; the client surfaces
 	// the code (ErrDraining for "draining", io.EOF for "bye") instead of a
 	// bare connection reset.
@@ -333,22 +330,16 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		case trace.StreamFrameEvents:
 			s.ins.streamFrames.Inc()
 			batchStart := time.Now()
-			// At proto 2 the payload leads with a trace context: a non-zero
-			// ID joins the frame to the client's trace, zero means untraced
-			// and the server's own sampler gets its say.
-			var traceID uint64
-			body := payload
-			if proto >= 2 {
-				traceID, body, err = trace.CutTraceContext(payload)
-			}
-			// At proto 4 a kind tag follows the trace context; older
-			// sessions carry branches only.
-			kind := trace.KindBranch
-			if err == nil && proto >= 4 {
+			// The payload leads with a trace context — a non-zero ID joins
+			// the frame to the client's trace, zero means untraced and the
+			// server's own sampler gets its say — then the kind tag.
+			traceID, body, err := trace.CutTraceContext(payload)
+			var kind trace.Kind
+			if err == nil {
 				kind, body, err = trace.CutKind(body)
-				if err == nil && (!kind.Valid() || !s.kinds[kind]) {
-					err = fmt.Errorf("kind %s is not served by this daemon", kind)
-				}
+			}
+			if err == nil && (!kind.Valid() || !s.kinds[kind]) {
+				err = fmt.Errorf("kind %s is not served by this daemon", kind)
 			}
 			if err == nil && traceID == 0 {
 				traceID = s.cfg.Trace.SampleBatch()
@@ -366,7 +357,6 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				s.ins.rejectedFrames.Inc()
 				wireBuf = trace.AppendSessionFrame(wireBuf[:0], trace.StreamFrameReject,
 					[]byte(err.Error()))
-				err = nil
 				if writeWire(wireBuf) != nil {
 					return
 				}
@@ -390,7 +380,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				s.ins.applyLat.Observe(c.end.Sub(c.start).Seconds())
 				s.ins.batchEvents.Observe(float64(nEvents))
 				respondStart := time.Now()
-				wireBuf, decScratch = appendDecisionsFrameCoalesced(wireBuf[:0], decisions, proto, flags, decScratch)
+				wireBuf, decScratch = appendDecisionsFrameCoalesced(wireBuf[:0], decisions, decScratch)
 				if writeWire(wireBuf) != nil {
 					return
 				}
@@ -427,27 +417,16 @@ func appendDecisionsFrame(dst, decisions []byte) []byte {
 }
 
 // appendDecisionsFrameCoalesced appends the session frame answering one
-// applied event frame, in the encoding the session negotiated: plain 'D'
-// below proto 3, run-length 'd' at proto 3, change-list 'x' when the
-// change-only flag was granted. Either coalesced form falls back to the
-// plain frame whenever it does not strictly shrink the payload, so the wire
-// cost is bounded by today's encoding. scratch stages the candidate payload
-// and is returned for reuse.
-func appendDecisionsFrameCoalesced(dst, decisions []byte, proto, flags uint32, scratch []byte) (wire, newScratch []byte) {
-	if proto < 3 {
-		return appendDecisionsFrame(dst, decisions), scratch
-	}
-	typ := trace.StreamFrameDecisionsRLE
-	if flags&trace.StreamFlagChangeOnly != 0 {
-		typ = trace.StreamFrameDecisionsChanges
-		scratch = trace.AppendDecisionsChanges(scratch[:0], decisions)
-	} else {
-		scratch = trace.AppendDecisionsRLE(scratch[:0], decisions)
-	}
+// applied event frame: run-length 'd', falling back to the plain 'D' frame
+// whenever RLE does not strictly shrink the payload, so the wire cost is
+// bounded by the plain encoding. scratch stages the candidate payload and is
+// returned for reuse.
+func appendDecisionsFrameCoalesced(dst, decisions, scratch []byte) (wire, newScratch []byte) {
+	scratch = trace.AppendDecisionsRLE(scratch[:0], decisions)
 	if len(scratch) >= uvarintLen(uint64(len(decisions)))+len(decisions) {
 		return appendDecisionsFrame(dst, decisions), scratch
 	}
-	return trace.AppendSessionFrame(dst, typ, scratch), scratch
+	return trace.AppendSessionFrame(dst, trace.StreamFrameDecisionsRLE, scratch), scratch
 }
 
 // uvarintLen returns how many bytes v's uvarint encoding takes.

@@ -31,7 +31,6 @@ type Stream struct {
 	bw   *bufio.Writer
 
 	window  int
-	proto   uint32            // negotiated session protocol version
 	program string            // handshake program, stamped on client spans
 	tracer  *obs.Tracer       // nil when the session is untraced
 	credits chan struct{}     // capacity window; a token = permission to send one frame
@@ -57,55 +56,10 @@ type streamConfig struct {
 	window     uint32
 	paramsHash *uint64
 	tracer     *obs.Tracer
-	decisions  StreamDecisions
 }
 
 // StreamOption configures OpenStream.
 type StreamOption func(*streamConfig)
-
-// StreamDecisions selects the decision-frame encoding a session negotiates.
-// Every mode yields identical per-event decisions from Recv — the encoding
-// only changes the wire bytes carrying them.
-type StreamDecisions int
-
-const (
-	// StreamDecisionsRLE (the default) negotiates stream proto 3: the
-	// server coalesces each decision frame with run-length encoding,
-	// falling back to the plain form per frame whenever RLE would not
-	// shrink it. The client decodes transparently.
-	StreamDecisionsRLE StreamDecisions = iota
-	// StreamDecisionsPlain pins the handshake to stream proto 2 — the
-	// pre-coalescing protocol, byte-for-byte: every decision frame
-	// arrives as a plain 'D' frame.
-	StreamDecisionsPlain
-	// StreamDecisionsChangeOnly negotiates proto 3 with the change-only
-	// session flag: the server sends (index, decision) deltas per frame
-	// and the client reconstructs the full vector.
-	StreamDecisionsChangeOnly
-)
-
-// streamProtoPlainDecisions is the newest protocol version whose decision
-// frames are always plain; StreamDecisionsPlain pins the handshake to it.
-const streamProtoPlainDecisions = 2
-
-// handshakeProtoFlags maps the requested decision mode onto the handshake's
-// protocol version and session flags.
-func (sc *streamConfig) handshakeProtoFlags() (proto, flags uint32) {
-	switch sc.decisions {
-	case StreamDecisionsPlain:
-		return streamProtoPlainDecisions, 0
-	case StreamDecisionsChangeOnly:
-		return trace.StreamProtoVersion, trace.StreamFlagChangeOnly
-	default:
-		return trace.StreamProtoVersion, 0
-	}
-}
-
-// WithStreamDecisions selects the session's decision-frame encoding; see the
-// StreamDecisions constants. The default is StreamDecisionsRLE.
-func WithStreamDecisions(mode StreamDecisions) StreamOption {
-	return func(sc *streamConfig) { sc.decisions = mode }
-}
 
 // WithStreamWindow requests a pipeline window of n in-flight event frames.
 // The server clamps the grant to [1, MaxStreamWindow]; 0 (the default)
@@ -125,8 +79,8 @@ func WithStreamParams(h uint64) StreamOption {
 }
 
 // WithStreamTracer samples this session's Send calls into t: a sampled frame
-// records client_encode and client_network spans and, at stream protocol 2,
-// carries its trace ID to the server in the frame's trace context.
+// records client_encode and client_network spans and carries its trace ID to
+// the server in the frame's trace context.
 func WithStreamTracer(t *obs.Tracer) StreamOption {
 	return func(sc *streamConfig) { sc.tracer = t }
 }
@@ -198,10 +152,8 @@ func (c *Client) OpenStream(ctx context.Context, program string, opts ...StreamO
 	if sc.tracer == nil {
 		sc.tracer = c.tracer
 	}
-	proto, flags := sc.handshakeProtoFlags()
 	return newStream(ctx, conn, br, bw, trace.Handshake{
-		Proto:      proto,
-		Flags:      flags,
+		Proto:      trace.StreamProtoVersion,
 		ParamsHash: hash,
 		Window:     sc.window,
 		Program:    program,
@@ -231,12 +183,10 @@ func DialStream(ctx context.Context, addr, program string, paramsHash uint64, op
 	if err != nil {
 		return nil, fmt.Errorf("server: stream: %w", err)
 	}
-	proto, flags := sc.handshakeProtoFlags()
 	return newStream(ctx, conn,
 		bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16),
 		trace.Handshake{
-			Proto:      proto,
-			Flags:      flags,
+			Proto:      trace.StreamProtoVersion,
 			ParamsHash: paramsHash,
 			Window:     sc.window,
 			Program:    program,
@@ -301,23 +251,18 @@ func newStream(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.W
 		conn.Close()
 		return nil, streamTerminalError(*ack.Err)
 	}
-	// An older server acks a lower protocol version and the session speaks
-	// it (dropping the trace context); anything outside the supported range
-	// is a broken peer.
-	if ack.Proto < trace.StreamProtoMin || ack.Proto > hs.Proto {
+	if ack.Proto != hs.Proto {
 		conn.Close()
-		return nil, fmt.Errorf("server: stream: server acked protocol %d, client supports %d..%d",
-			ack.Proto, trace.StreamProtoMin, hs.Proto)
+		return nil, fmt.Errorf("server: stream: server acked protocol %d, client speaks %d",
+			ack.Proto, hs.Proto)
 	}
-	// The server may grant fewer flags than requested (or none, below proto
-	// 3) — never more.
-	if ack.Flags&^hs.Flags != 0 {
+	// The window sizes the credit and result channels below, so a broken or
+	// hostile grant must fail here: the server never grants more than
+	// MaxStreamWindow, nor more than a requested window.
+	if ack.Window == 0 || ack.Window > MaxStreamWindow || (hs.Window != 0 && ack.Window > hs.Window) {
 		conn.Close()
-		return nil, fmt.Errorf("server: stream: server granted unrequested session flags %#x", ack.Flags&^hs.Flags)
-	}
-	if ack.Window == 0 {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: server granted a zero window")
+		return nil, fmt.Errorf("server: stream: server granted window %d (requested %d, max %d)",
+			ack.Window, hs.Window, MaxStreamWindow)
 	}
 	conn.SetDeadline(time.Time{})
 
@@ -325,7 +270,6 @@ func newStream(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.W
 		conn:       conn,
 		bw:         bw,
 		window:     int(ack.Window),
-		proto:      ack.Proto,
 		program:    hs.Program,
 		tracer:     tracer,
 		credits:    make(chan struct{}, ack.Window),
@@ -380,17 +324,12 @@ func (st *Stream) readLoop(br *bufio.Reader) {
 			}
 			st.results <- streamResult{decisions: decisions}
 			st.credits <- struct{}{}
-		case trace.StreamFrameDecisionsRLE, trace.StreamFrameDecisionsChanges:
-			// Coalesced forms decode to exactly the bytes a plain 'D'
-			// frame would have carried; Recv callers never see the
-			// difference.
-			if typ == trace.StreamFrameDecisionsRLE {
-				decScratch, err = trace.DecodeDecisionsRLE(payload, decScratch[:0])
-			} else {
-				decScratch, err = trace.DecodeDecisionsChanges(payload, decScratch[:0])
-			}
+		case trace.StreamFrameDecisionsRLE:
+			// The RLE form decodes to exactly the bytes a plain 'D' frame
+			// would have carried; Recv callers never see the difference.
+			decScratch, err = trace.DecodeDecisionsRLE(payload, decScratch[:0])
 			if err != nil {
-				finish(fmt.Errorf("server: stream: decoding coalesced decisions frame: %w", err))
+				finish(fmt.Errorf("server: stream: decoding RLE decisions frame: %w", err))
 				return
 			}
 			decisions, err := decisionsFromBytes(decScratch)
@@ -444,20 +383,16 @@ func decisionsFromBytes(raw []byte) ([]Decision, error) {
 // Window reports the granted pipeline window (max in-flight event frames).
 func (st *Stream) Window() int { return st.window }
 
-// Send ships one batch of events as a single in-flight frame. It blocks
-// while the window is exhausted, until the receiver frees a slot, ctx ends,
-// or the session terminates. Each successful Send owes exactly one Recv.
-//
-// Send is the kind=branch compatibility surface — its wire bytes are
-// identical at every protocol version; kind-aware callers use SendKind.
+// Send ships one batch of kind=branch events as a single in-flight frame. It
+// blocks while the window is exhausted, until the receiver frees a slot, ctx
+// ends, or the session terminates. Each successful Send owes exactly one
+// Recv.
 func (st *Stream) Send(ctx context.Context, events []trace.Event) error {
 	return st.send(ctx, trace.KindBranch, events, nil, len(events))
 }
 
-// SendKind is Send with an explicit speculation kind. kind=branch is Send
-// exactly (and works at every negotiated protocol version); other kinds
-// require the session to have negotiated stream protocol 4 — against an
-// older server SendKind fails without consuming a window credit.
+// SendKind is Send with an explicit speculation kind; kind=branch is Send
+// exactly.
 func (st *Stream) SendKind(ctx context.Context, kind trace.Kind, events []trace.Event) error {
 	return st.send(ctx, kind, events, nil, len(events))
 }
@@ -473,17 +408,12 @@ func (st *Stream) SendEncoded(ctx context.Context, frame []byte, nevents int) er
 	return st.send(ctx, trace.KindBranch, nil, frame, nevents)
 }
 
-// SendEncodedKind is SendEncoded with an explicit speculation kind, under
-// SendKind's protocol rules.
+// SendEncodedKind is SendEncoded with an explicit speculation kind.
 func (st *Stream) SendEncodedKind(ctx context.Context, kind trace.Kind, frame []byte, nevents int) error {
 	return st.send(ctx, kind, nil, frame, nevents)
 }
 
 func (st *Stream) send(ctx context.Context, kind trace.Kind, events []trace.Event, frame []byte, nevents int) error {
-	if kind != trace.KindBranch && st.proto < 4 {
-		return fmt.Errorf("server: stream: kind %s needs stream protocol 4, session negotiated %d (%w)",
-			kind, st.proto, ErrUnsupportedKind)
-	}
 	if !kind.Valid() {
 		return fmt.Errorf("server: stream: invalid kind %s (%w)", kind, ErrUnsupportedKind)
 	}
@@ -506,24 +436,14 @@ func (st *Stream) send(ctx context.Context, kind trace.Kind, events []trace.Even
 	if st.closed {
 		return fmt.Errorf("server: stream: send after Close")
 	}
-	// Sampling happens per frame; at proto 2 every event payload leads with
-	// a trace context (zero = untraced) so the wire shape is uniform.
-	var traceID uint64
-	if st.proto >= 2 {
-		traceID = st.tracer.SampleBatch()
-	}
+	// Sampling happens per frame; every event payload leads with a trace
+	// context (zero = untraced) and a kind tag (branch is a single zero
+	// byte), so the wire shape is uniform.
+	traceID := st.tracer.SampleBatch()
 	encodeStart := time.Now()
-	// The session frame carries its own length, so the payload is the bare
-	// trace frame (no AppendFrame length prefix).
-	st.evBuf = st.evBuf[:0]
-	if st.proto >= 2 {
-		st.evBuf = trace.AppendTraceContext(st.evBuf, traceID)
-	}
-	if st.proto >= 4 {
-		// The kind tag is unconditional at proto 4 so the wire shape stays
-		// uniform; branch encodes as a single zero byte.
-		st.evBuf = trace.AppendKind(st.evBuf, kind)
-	}
+	// The session frame carries its own length, so the trace frame follows
+	// bare (no AppendFrame length prefix).
+	st.evBuf = trace.AppendKind(trace.AppendTraceContext(st.evBuf[:0], traceID), kind)
 	if frame != nil {
 		st.evBuf = append(st.evBuf, frame...)
 	} else {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func runSession(t *testing.T, st *Stream, batches [][]trace.Event) []Decision {
 }
 
 // TestStreamMatchesIngest pins the tentpole equivalence: streaming sessions
-// produce byte-identical decisions to POST /v1/ingest for the same event
+// produce byte-identical decisions to POST /v2/ingest for the same event
 // sequence, across pipeline window sizes and the number of partitions the
 // trace is dealt over (shards=N: N programs, one session each, all open at
 // once).
@@ -251,8 +252,10 @@ func TestStreamHandshakeParamMismatch(t *testing.T) {
 	}
 }
 
-// TestStreamHandshakeProtoMismatch drives the raw wire format directly: a
-// handshake with an unknown protocol version gets a typed reject ack.
+// TestStreamHandshakeProtoMismatch drives the raw wire format directly:
+// every hello older than proto 4 — including a proto-3 hello carrying the
+// old change-only flag bit — gets a typed proto_mismatch reject that names
+// the client's version.
 func TestStreamHandshakeProtoMismatch(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -262,23 +265,80 @@ func TestStreamHandshakeProtoMismatch(t *testing.T) {
 	defer ln.Close()
 	go s.ServeStream(ln)
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		proto   uint32 // the raw proto uvarint the hello carries
+		version uint32 // the version the reject must name
+	}{
+		{1, 1},
+		{2, 2},
+		{3, 3},
+		{3 | 1<<16, 3},
+	} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := trace.Handshake{Proto: tc.proto, ParamsHash: s.paramsHash, Program: "p"}
+		if _, err := conn.Write(trace.AppendHandshake(nil, hs)); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := trace.ReadAck(bufio.NewReader(conn))
+		conn.Close()
+		if err != nil {
+			t.Fatalf("proto %#x: ReadAck: %v", tc.proto, err)
+		}
+		if ack.Err == nil || ack.Err.Code != trace.StreamCodeProtoMismatch {
+			t.Fatalf("proto %#x: ack = %+v, want proto_mismatch reject", tc.proto, ack)
+		}
+		if want := fmt.Sprintf("stream protocol %d,", tc.version); !strings.Contains(ack.Err.Msg, want) {
+			t.Fatalf("proto %#x: reject %q does not name %q", tc.proto, ack.Err.Msg, want)
+		}
 	}
-	defer conn.Close()
-	// A peer newer than us negotiates down (NegotiateStreamProto), so the
-	// reject only fires below the supported minimum.
-	hs := trace.Handshake{Proto: trace.StreamProtoMin - 1, ParamsHash: s.paramsHash, Program: "p"}
-	if _, err := conn.Write(trace.AppendHandshake(nil, hs)); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := trace.ReadAck(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatalf("ReadAck: %v", err)
-	}
-	if ack.Err == nil || ack.Err.Code != trace.StreamCodeProtoMismatch {
-		t.Fatalf("ack = %+v, want proto_mismatch reject", ack)
+}
+
+// TestDialStreamRejectsOversizedWindow pins the client's check on the
+// granted window: a broken server acking more than MaxStreamWindow, or more
+// than the client asked for, fails the dial before the window sizes
+// anything.
+func TestDialStreamRejectsOversizedWindow(t *testing.T) {
+	for _, tc := range []struct {
+		requested int
+		granted   uint32
+	}{
+		{0, 1 << 31},
+		{0, MaxStreamWindow + 1},
+		{8, 16},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			hs, err := trace.ReadHandshake(bufio.NewReader(conn))
+			if err != nil {
+				return
+			}
+			conn.Write(trace.AppendAck(nil, trace.Ack{
+				Proto: trace.StreamProtoVersion, Window: tc.granted, ParamsHash: hs.ParamsHash,
+			}))
+			io.Copy(io.Discard, conn)
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		st, err := DialStream(ctx, ln.Addr().String(), "p", 1, WithStreamWindow(tc.requested))
+		cancel()
+		ln.Close()
+		if err == nil {
+			st.Close()
+			t.Fatalf("requested %d, granted %d: DialStream succeeded", tc.requested, tc.granted)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("granted window %d", tc.granted)) {
+			t.Fatalf("requested %d, granted %d: err = %v", tc.requested, tc.granted, err)
+		}
 	}
 }
 
@@ -326,8 +386,7 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 		t.Fatalf("frame type %q, want reject", typ)
 	}
 	// The session survived the rejection: a valid frame still applies. The
-	// handshake negotiated proto >= 4, so the payload leads with a trace
-	// context (zero = untraced) and a kind tag.
+	// payload leads with a trace context (zero = untraced) and a kind tag.
 	good := trace.EncodeFrameAppend(
 		trace.AppendKind(trace.AppendTraceContext(nil, 0), trace.KindBranch),
 		synthEvents(10, 4))
@@ -338,8 +397,8 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("after reject: %v", err)
 	}
-	// At proto 3 the server may coalesce ('d'); both forms decode to the
-	// same decisions.
+	// The server may coalesce ('d'); both forms decode to the same
+	// decisions.
 	var ds []Decision
 	switch typ {
 	case trace.StreamFrameDecisions:

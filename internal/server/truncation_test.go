@@ -33,7 +33,7 @@ func TestIngestTruncatedBatchPartialApply(t *testing.T) {
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ingest?program=p", "application/octet-stream", &body)
+	resp, err := http.Post(ts.URL+"/v2/ingest?program=p&kind=branch", "application/octet-stream", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestClientSurfacesBatchTruncation(t *testing.T) {
 
 	c := NewClient(canned.URL, canned.Client())
 	frames := [][]trace.Event{synthEvents(10, 1), synthEvents(20, 2), synthEvents(30, 3)}
-	results, err := c.IngestFrames(context.Background(), "p", frames)
+	results, _, err := c.IngestFrames(context.Background(), "p", trace.KindBranch, frames)
 	var te *BatchTruncatedError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *BatchTruncatedError", err)
@@ -138,7 +138,7 @@ func TestIngestResponseContentLength(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ingest?program=p", "application/octet-stream", &body)
+	resp, err := http.Post(ts.URL+"/v2/ingest?program=p&kind=branch", "application/octet-stream", &body)
 	if err != nil {
 		t.Fatal(err)
 	}

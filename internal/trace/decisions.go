@@ -5,30 +5,25 @@ import (
 	"fmt"
 )
 
-// Decision coalescing for stream-proto-3 sessions. A 'D' frame carries one
-// applied event frame's decisions verbatim — a uvarint count followed by one
-// byte per event — which is overwhelmingly redundant: the controller holds a
-// steady verdict for long stretches, so a 1024-event frame typically carries
-// a handful of distinct values. Proto 3 adds two coalesced forms, both
-// decoding to exactly the bytes the plain frame would have carried:
+// Decision coalescing for stream sessions. A 'D' frame carries one applied
+// event frame's decisions verbatim — a uvarint count followed by one byte per
+// event — which is overwhelmingly redundant: the controller changes a unit's
+// verdict only at a state transition, so a 1024-event frame typically carries
+// a handful of distinct values. The run-length form decodes to exactly the
+// bytes the plain frame would have carried:
 //
 //	'd'  run-length encoded:
 //	  count  uvarint  (decision bytes this frame decodes to)
 //	  runs:  (runLen uvarint >= 1, value byte) pairs; runLens sum to count
 //
-//	'x'  change list (the decisions-on-change-only session mode):
-//	  count  uvarint
-//	  first  byte     (the decision at index 0; absent when count is 0)
-//	  pairs: (gap uvarint >= 1, value byte) — each pair changes the value
-//	         at index lastIndex+gap; indices stay < count; every index
-//	         between changes repeats the previous value
+// It is self-contained per frame (no state carried across frames), so a lost
+// or reordered read cannot desynchronize reconstruction. Worst case (a
+// vector that changes every byte) it costs two bytes per decision; the server
+// falls back to the plain 'D' form whenever RLE does not strictly shrink the
+// payload, which bounds the wire cost at the plain encoding.
 //
-// Both forms are self-contained per frame (no state carried across frames),
-// so a lost or reordered read cannot desynchronize reconstruction. Worst
-// case (a vector that changes every byte) each form costs two bytes per
-// decision; senders are expected to fall back to the plain 'D' form whenever
-// coalescing does not strictly shrink the payload, which bounds the wire
-// cost at the plain encoding.
+// The change-list form (AppendDecisionsChanges) is no longer a wire frame; it
+// survives only as the benchmark ladder's comparison row.
 
 // AppendDecisionsPlain appends the plain 'D' decisions payload — a uvarint
 // count followed by the raw decision bytes — to dst.
@@ -102,8 +97,17 @@ func DecodeDecisionsRLE(payload []byte, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendDecisionsChanges appends the change-list 'x' payload for decisions
-// to dst.
+// AppendDecisionsChanges appends a change-list encoding of decisions to dst:
+//
+//	count  uvarint
+//	first  byte     (the decision at index 0; absent when count is 0)
+//	pairs: (gap uvarint >= 1, value byte) — each pair changes the value at
+//	       index lastIndex+gap; indices stay < count; every index between
+//	       changes repeats the previous value
+//
+// No session sends it any more. It serves only the benchmark ladder's
+// trace.decisions.change row, and goes with that row when the benchmark
+// drops it.
 func AppendDecisionsChanges(dst []byte, decisions []byte) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(decisions)))]...)
@@ -122,8 +126,11 @@ func AppendDecisionsChanges(dst []byte, decisions []byte) []byte {
 	return dst
 }
 
-// DecodeDecisionsChanges decodes an 'x' payload, appending the reconstructed
-// decision bytes to dst and returning the extended slice. Malformed input —
+// DecodeDecisionsChanges decodes an AppendDecisionsChanges payload,
+// appending the reconstructed decision bytes to dst and returning the
+// extended slice. It is the reference the encoder's round-trip test and
+// fuzzer check against, serves only the benchmark ladder's
+// trace.decisions.change row, and goes with that row. Malformed input —
 // a zero gap, an index at or past count, a truncated pair, trailing bytes —
 // fails with an error wrapping ErrBadFrame, and dst is returned unchanged.
 // The declared count is capped at MaxFramePayload.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -142,68 +141,6 @@ func TestDecodeDecisionsChangesRejectsDamage(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != 42 {
 			t.Errorf("%s: dst changed on error: %v", name, got)
-		}
-	}
-}
-
-// TestHandshakeFlagsRoundTrip checks that session flags survive both the
-// handshake and the ack, and that a zero flags field produces exactly the
-// pre-flag wire bytes — the proto-2 compatibility claim.
-func TestHandshakeFlagsRoundTrip(t *testing.T) {
-	h := Handshake{Proto: StreamProtoVersion, Flags: StreamFlagChangeOnly,
-		ParamsHash: 0xfeed, Window: 8, Program: "gzip@0"}
-	got, err := ReadHandshake(bufio.NewReader(bytes.NewReader(AppendHandshake(nil, h))))
-	if err != nil || got != h {
-		t.Fatalf("handshake flags round trip: %+v, %v", got, err)
-	}
-	a := Ack{Proto: StreamProtoVersion, Flags: StreamFlagChangeOnly, Window: 8, ParamsHash: 0xfeed}
-	gotA, err := ReadAck(bufio.NewReader(bytes.NewReader(AppendAck(nil, a))))
-	if err != nil || gotA != a {
-		t.Fatalf("ack flags round trip: %+v, %v", gotA, err)
-	}
-}
-
-// TestHandshakeZeroFlagsBytesUnchanged reproduces the proto-2 encoders by
-// hand and pins that today's Append functions with zero Flags emit exactly
-// those bytes, both directions.
-func TestHandshakeZeroFlagsBytesUnchanged(t *testing.T) {
-	var tmp [binary.MaxVarintLen64]byte
-	old := append([]byte{}, 'R', 'S', 'H', 'S')
-	put := func(v uint64) { old = append(old, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(2) // proto, as a proto-2 client encoded it
-	put(0xabc)
-	put(16)
-	put(uint64(len("vpr@1")))
-	old = append(old, "vpr@1"...)
-	now := AppendHandshake(nil, Handshake{Proto: 2, ParamsHash: 0xabc, Window: 16, Program: "vpr@1"})
-	if !bytes.Equal(now, old) {
-		t.Fatalf("zero-flag handshake bytes differ from the proto-2 encoding:\n got %x\nwant %x", now, old)
-	}
-
-	oldAck := append([]byte{}, 'R', 'S', 'H', 'A', 0)
-	putA := func(v uint64) { oldAck = append(oldAck, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	putA(2)
-	putA(16)
-	putA(0xabc)
-	nowAck := AppendAck(nil, Ack{Proto: 2, Window: 16, ParamsHash: 0xabc})
-	if !bytes.Equal(nowAck, oldAck) {
-		t.Fatalf("zero-flag ack bytes differ from the proto-2 encoding:\n got %x\nwant %x", nowAck, oldAck)
-	}
-}
-
-func TestNegotiateStreamFlags(t *testing.T) {
-	cases := []struct {
-		proto, requested, want uint32
-	}{
-		{1, StreamFlagChangeOnly, 0},
-		{2, StreamFlagChangeOnly, 0},
-		{3, StreamFlagChangeOnly, StreamFlagChangeOnly},
-		{3, 0, 0},
-		{3, StreamFlagChangeOnly | 0x8000, StreamFlagChangeOnly}, // unknown bits dropped
-	}
-	for _, c := range cases {
-		if got := NegotiateStreamFlags(c.proto, c.requested); got != c.want {
-			t.Errorf("NegotiateStreamFlags(%d, %#x) = %#x, want %#x", c.proto, c.requested, got, c.want)
 		}
 	}
 }

@@ -108,15 +108,15 @@ func ValidProgramName(program string) bool {
 	return strings.IndexByte(program, kindProgramPrefix) < 0
 }
 
-// AppendKind appends the proto-4 kind tag — one uvarint — that follows the
-// trace context in an 'E' frame payload.
+// AppendKind appends the kind tag — one uvarint — that follows the trace
+// context in an 'E' frame payload.
 func AppendKind(dst []byte, kind Kind) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	return append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(kind))]...)
 }
 
-// CutKind splits a proto-4 'E' frame payload (after the trace context) into
-// its kind tag and the trace blob that follows. The kind is returned as sent;
+// CutKind splits an 'E' frame payload (after the trace context) into its
+// kind tag and the trace blob that follows. The kind is returned as sent;
 // callers validate against the kinds they serve.
 func CutKind(payload []byte) (kind Kind, rest []byte, err error) {
 	k, n := binary.Uvarint(payload)

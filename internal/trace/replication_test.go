@@ -96,9 +96,9 @@ func TestNegotiateProtos(t *testing.T) {
 		ok   bool
 	}{
 		{0, 0, false},
-		{1, 1, true},
-		{2, 2, true},
-		{3, 3, true},
+		{1, 0, false}, // the stream speaks one revision: protos 1-3 are refused
+		{2, 0, false},
+		{3, 0, false},
 		{4, 4, true},
 		{5, 4, true}, // a newer peer speaks down to us
 	}

@@ -43,64 +43,44 @@ import (
 //
 // Client → server frame types:
 //
-//	'E'  events   payload is one trace blob (EncodeFrame payload)
+//	'E'  events   payload: trace ID uvarint (0 = untraced), kind uvarint
+//	              (see Kind), then one trace blob (EncodeFrame payload)
 //	'C'  close    empty payload; the client is done sending
 //
 // Server → client frame types:
 //
 //	'D'  decisions  one applied event frame's results; returns one credit
-//	'd'  decisions  same results, run-length encoded (proto >= 3)
-//	'x'  decisions  same results as a change list (proto >= 3, change-only
-//	                flag granted); both coalesced forms return one credit
+//	'd'  decisions  same results, run-length encoded, sent whenever that
+//	                is strictly smaller than 'D'; returns one credit
 //	'R'  reject     one corrupt event frame's diagnostic; returns one credit
 //	'T'  terminal   code + msg (StreamError layout); the session is over
 //
 // Credit: the ack's window advertises how many event frames may be in flight
-// (sent but not yet answered by a 'D' or 'R'). The client blocks further
-// sends when the window is exhausted; every 'D'/'R' frame implicitly returns
+// (sent but not yet answered by a 'D', 'd' or 'R'). The client blocks further
+// sends when the window is exhausted; every answer frame implicitly returns
 // exactly one credit. The server never answers out of order.
 const (
-	// StreamProtoVersion is the newest session protocol version this build
-	// speaks. The handshake negotiates down: the server acks
-	// min(client, server), and both sides speak the acked version, so a
-	// proto-1 peer talks to a proto-2 one exactly as before.
+	// StreamProtoVersion is the one session protocol version this build
+	// speaks. A newer client negotiates down to it; an older one is
+	// rejected with proto_mismatch.
 	//
 	// Version history:
 	//
-	//	1  the original session format
+	//	1  the original session format (no longer accepted)
 	//	2  'E' frame payloads gain a leading uvarint trace ID (0 = the
-	//	   batch is untraced); everything else is unchanged
-	//	3  decision frames may be coalesced: the server may answer with a
-	//	   run-length-encoded 'd' frame, or — when the change-only session
-	//	   flag was negotiated — a change-list 'x' frame; 'D' stays valid,
-	//	   and the proto/flag uvarints in RSHS/RSHA carry session flags in
-	//	   their high bits (see StreamFlagChangeOnly)
+	//	   batch is untraced) (no longer accepted)
+	//	3  decision frames may be run-length encoded ('d'); a change-list
+	//	   'x' frame rode a session flag in the high bits of the handshake
+	//	   proto uvarint (no longer accepted)
 	//	4  'E' frame payloads gain a uvarint speculation-kind tag (see
-	//	   Kind) between the trace ID and the trace blob; at proto <= 3
-	//	   every frame is implicitly kind=branch and the bytes are
-	//	   unchanged
+	//	   Kind) between the trace ID and the trace blob
 	StreamProtoVersion = 4
-	// StreamProtoMin is the oldest protocol version still accepted.
-	StreamProtoMin = 1
 
-	// streamFlagShift is where session flags sit inside the handshake and
-	// ack proto uvarints: raw = version | flags<<16. A pre-proto-3 server
-	// reads the whole raw value as one big version number and negotiates
-	// down to its own, so flags degrade to "not granted" without a wire
-	// change; a pre-proto-3 client never sets flags and sees today's exact
-	// bytes back (a zero flags field leaves the uvarint unchanged).
-	streamFlagShift = 16
-
-	// StreamFlagChangeOnly asks for the decisions-on-change-only session
-	// mode: the server answers applied frames with 'x' change-list frames
-	// (first decision byte + (gap, byte) deltas) instead of the full
-	// decision vector. Only honored at negotiated proto >= 3; the server
-	// echoes the granted flags in the ack.
-	StreamFlagChangeOnly = uint32(1) << 0
-
-	// streamFlagsKnown is the set of flags this build understands; a server
-	// grants at most the intersection of the client's request and this set.
-	streamFlagsKnown = StreamFlagChangeOnly
+	// streamProtoBits is how much of the handshake's proto uvarint is the
+	// version. Proto-3 clients carried session flags above it; the version
+	// is read from these bits alone, so a flagged proto-3 hello is rejected
+	// as proto 3 and a flagged proto-4 hello gets a plain proto-4 ack.
+	streamProtoBits = 16
 
 	// StreamFrameEvents carries one trace blob of events (client → server).
 	StreamFrameEvents = byte('E')
@@ -110,14 +90,9 @@ const (
 	// (server → client).
 	StreamFrameDecisions = byte('D')
 	// StreamFrameDecisionsRLE carries one applied frame's decisions
-	// run-length encoded (server → client, proto >= 3). Equivalent to a
-	// 'D' frame after DecodeDecisionsRLE; returns one credit.
+	// run-length encoded (server → client). Equivalent to a 'D' frame after
+	// DecodeDecisionsRLE; returns one credit.
 	StreamFrameDecisionsRLE = byte('d')
-	// StreamFrameDecisionsChanges carries one applied frame's decisions as
-	// a change list (server → client, proto >= 3 with the change-only flag
-	// granted). Equivalent to a 'D' frame after DecodeDecisionsChanges;
-	// returns one credit.
-	StreamFrameDecisionsChanges = byte('x')
 	// StreamFrameReject carries one rejected frame's diagnostic text
 	// (server → client).
 	StreamFrameReject = byte('R')
@@ -166,32 +141,30 @@ var (
 )
 
 // Handshake opens a stream session: who is speaking (Program), under which
-// controller parameters (ParamsHash), with which protocol revision, session
-// flags (StreamFlag*; proto >= 3), and requested pipeline window.
+// controller parameters (ParamsHash), with which protocol revision, and the
+// requested pipeline window.
 type Handshake struct {
 	Proto      uint32
-	Flags      uint32
 	ParamsHash uint64
 	Window     uint32
 	Program    string
 }
 
-// AppendHandshake appends h's wire form to dst. Flags ride in the high bits
-// of the proto uvarint, so a zero Flags field produces exactly the pre-flag
-// wire bytes.
+// AppendHandshake appends h's wire form to dst.
 func AppendHandshake(dst []byte, h Handshake) []byte {
 	dst = append(dst, handshakeMagic[:]...)
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(uint64(h.Proto) | uint64(h.Flags)<<streamFlagShift)
+	put(uint64(h.Proto))
 	put(h.ParamsHash)
 	put(uint64(h.Window))
 	put(uint64(len(h.Program)))
 	return append(dst, h.Program...)
 }
 
-// ReadHandshake decodes one handshake from r. Malformed input fails with an
-// error wrapping ErrBadHandshake.
+// ReadHandshake decodes one handshake from r. The version is the low
+// streamProtoBits of the proto uvarint; higher bits are ignored. Malformed
+// input fails with an error wrapping ErrBadHandshake.
 func ReadHandshake(r *bufio.Reader) (Handshake, error) {
 	var h Handshake
 	var magic [4]byte
@@ -208,8 +181,7 @@ func ReadHandshake(r *bufio.Reader) (Handshake, error) {
 	if proto > uint64(^uint32(0)) {
 		return h, fmt.Errorf("%w: protocol version %d out of range", ErrBadHandshake, proto)
 	}
-	h.Flags = uint32(proto >> streamFlagShift)
-	proto &= (1 << streamFlagShift) - 1
+	proto &= 1<<streamProtoBits - 1
 	if h.ParamsHash, err = binary.ReadUvarint(r); err != nil {
 		return h, fmt.Errorf("%w: reading params hash: %v", ErrBadHandshake, err)
 	}
@@ -238,21 +210,17 @@ func ReadHandshake(r *bufio.Reader) (Handshake, error) {
 	return h, nil
 }
 
-// Ack answers a handshake: either a grant (protocol version, granted session
-// flags, window, and the server's parameter hash echoed back) or a rejection
-// carrying a StreamError.
+// Ack answers a handshake: either a grant (protocol version, window, and the
+// server's parameter hash echoed back) or a rejection carrying a StreamError.
 type Ack struct {
 	Proto      uint32
-	Flags      uint32
 	Window     uint32
 	ParamsHash uint64
 	// Err is non-nil on a rejected handshake; the grant fields are zero.
 	Err *StreamError
 }
 
-// AppendAck appends a's wire form to dst. Like the handshake, granted flags
-// ride in the high bits of the proto uvarint: a server granting no flags
-// (every pre-proto-3 negotiation) emits exactly the pre-flag wire bytes.
+// AppendAck appends a's wire form to dst.
 func AppendAck(dst []byte, a Ack) []byte {
 	dst = append(dst, handshakeAck[:]...)
 	var tmp [binary.MaxVarintLen64]byte
@@ -265,7 +233,7 @@ func AppendAck(dst []byte, a Ack) []byte {
 		return dst
 	}
 	dst = append(dst, 0)
-	put(uint64(a.Proto) | uint64(a.Flags)<<streamFlagShift)
+	put(uint64(a.Proto))
 	put(uint64(a.Window))
 	put(a.ParamsHash)
 	return dst
@@ -303,8 +271,7 @@ func ReadAck(r *bufio.Reader) (Ack, error) {
 		if a.ParamsHash, err = binary.ReadUvarint(r); err != nil {
 			return a, fmt.Errorf("%w: reading ack params hash: %v", ErrBadHandshake, err)
 		}
-		a.Flags = uint32(proto >> streamFlagShift)
-		a.Proto = uint32(proto) & (1<<streamFlagShift - 1)
+		a.Proto = uint32(proto)
 		a.Window = uint32(window)
 		return a, nil
 	case 1:
@@ -391,38 +358,24 @@ func readStreamError(r *bufio.Reader) (StreamError, error) {
 }
 
 // NegotiateStreamProto picks the session protocol both sides will speak:
-// the older of the client's and this build's versions. ok is false when the
-// client is older than StreamProtoMin.
+// StreamProtoVersion, which a newer client speaks down to. ok is false when
+// the client is older.
 func NegotiateStreamProto(clientProto uint32) (proto uint32, ok bool) {
-	if clientProto < StreamProtoMin {
-		return 0, false
-	}
 	if clientProto < StreamProtoVersion {
-		return clientProto, true
+		return 0, false
 	}
 	return StreamProtoVersion, true
 }
 
-// NegotiateStreamFlags picks the session flags a server grants: the
-// intersection of what the client requested and what this build understands,
-// and nothing at all below proto 3 — pre-flag peers must see byte-identical
-// acks.
-func NegotiateStreamFlags(proto, requested uint32) uint32 {
-	if proto < 3 {
-		return 0
-	}
-	return requested & streamFlagsKnown
-}
-
-// AppendTraceContext appends the proto-2 trace context — one uvarint trace
-// ID, zero meaning untraced — that prefixes an 'E' frame payload.
+// AppendTraceContext appends the trace context — one uvarint trace ID, zero
+// meaning untraced — that prefixes an 'E' frame payload.
 func AppendTraceContext(dst []byte, traceID uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	return append(dst, tmp[:binary.PutUvarint(tmp[:], traceID)]...)
 }
 
-// CutTraceContext splits a proto-2 'E' frame payload into its trace ID and
-// the trace blob that follows.
+// CutTraceContext splits an 'E' frame payload into its trace ID and the rest
+// (the kind tag and trace blob).
 func CutTraceContext(payload []byte) (traceID uint64, rest []byte, err error) {
 	traceID, n := binary.Uvarint(payload)
 	if n <= 0 {

@@ -117,13 +117,13 @@ awk -v branch="$(bench_eps BenchmarkTableApplyBatch)" \
 }' >&2
 
 # --- POST vs streaming transport comparison --------------------------------
-# Drives the identical seeded workload through POST /v1/ingest and through a
+# Drives the identical seeded workload through POST /v2/ingest and through a
 # streaming session at several credit windows against an ephemeral reactived,
 # and records throughput and p99 batch latency per transport in
 # BENCH_stream.json. The windows bracket the backpressure regimes: window 1
 # is fully serialized (one frame in flight), larger windows pipeline. On top
-# of the legacy HTTP-upgrade rows, a raw-listener matrix crosses TCP vs
-# unix-domain sockets with every decision encoding (plain, RLE, change-only).
+# of the legacy HTTP-upgrade rows, a raw-listener matrix compares TCP and
+# unix-domain sockets.
 STREAM_OUT=BENCH_stream.json
 
 echo "==> building reactived + reactiveload for the transport comparison" >&2
@@ -220,21 +220,18 @@ run_load_best() { # $1 = report label; rest = transport-selecting flags
 # All runs replay the same programs, so the first one also pays the cold
 # cost of populating the controller table; burn that on an unrecorded
 # warmup so every measured run sees the same converged table state.
-#
-# The legacy rows (post, stream-w*) predate decision coalescing and pin
-# -decisions plain so their committed baselines keep measuring the same
-# wire; the matrix rows below cover the coalesced encodings.
 run_load warmup
 run_load post
-run_load stream-w1 -stream -window 1 -decisions plain
-run_load stream-w4 -stream -window 4 -decisions plain
-run_load stream-w16 -stream -window 16 -decisions plain
-run_load stream-w32 -stream -window 32 -decisions plain
+run_load stream-w1 -stream -window 1
+run_load stream-w4 -stream -window 4
+run_load stream-w16 -stream -window 16
+run_load stream-w32 -stream -window 32
 
-# The transport × decision-encoding matrix: raw TCP vs unix-domain stream
-# listeners crossed with every decision wire (plain, RLE, change-only) at
-# two credit windows. Row names are stable (<transport>-<decisions>-w<N>)
-# so the regression gate below tracks each cell individually.
+# The transport matrix: raw TCP vs unix-domain stream listeners at two
+# credit windows, every session on the one RLE decision wire. Each cell is
+# measured three times (each a best-of-two); the first repetition is the
+# recorded row, named <transport>-rle-w<N> so the regression gate below
+# tracks each cell individually, and the uds-vs-tcp gate sums all three.
 #
 # Matrix rows run with -preencode (every batch generated and encoded before
 # the clock starts) and 10x the events of the legacy rows. The legacy rows
@@ -246,12 +243,14 @@ run_load stream-w32 -stream -window 32 -decisions plain
 # after run_load's fixed ones win (Go's flag package keeps the last value),
 # so -events here overrides the default.
 MATRIX_WINDOWS="16 64"
-MATRIX_MODES="plain rle change"
+MATRIX_REPS="1 2 3"
 for w in $MATRIX_WINDOWS; do
-    for mode in $MATRIX_MODES; do
-        run_load_best "tcp-$mode-w$w" -stream-addr "$TCP_STREAM_ADDR" -window "$w" -decisions "$mode" -events 500000 -preencode
-        run_load_best "uds-$mode-w$w" -stream-addr "$UDS_STREAM_ADDR" -window "$w" -decisions "$mode" -events 500000 -preencode
+    for rep in $MATRIX_REPS; do
+        run_load_best "tcp-rle-w$w-$rep" -stream-addr "$TCP_STREAM_ADDR" -window "$w" -events 500000 -preencode
+        run_load_best "uds-rle-w$w-$rep" -stream-addr "$UDS_STREAM_ADDR" -window "$w" -events 500000 -preencode
     done
+    cp "$BENCH_DIR/tcp-rle-w$w-1.json" "$BENCH_DIR/tcp-rle-w$w.json"
+    cp "$BENCH_DIR/uds-rle-w$w-1.json" "$BENCH_DIR/uds-rle-w$w.json"
 done
 
 {
@@ -268,14 +267,12 @@ done
             "$(field "$label" batch_latency_p99_ms)"
     done
     for w in $MATRIX_WINDOWS; do
-        for mode in $MATRIX_MODES; do
-            for transport in tcp uds; do
-                label="$transport-$mode-w$w"
-                printf ',\n  {"name": "%s", "transport": "%s", "decisions": "%s", "window": %s, "batch": 1024, "events_per_sec": %s, "batch_latency_p99_ms": %s}' \
-                    "$label" "$transport" "$mode" "$w" \
-                    "$(field "$label" events_per_sec)" \
-                    "$(field "$label" batch_latency_p99_ms)"
-            done
+        for transport in tcp uds; do
+            label="$transport-rle-w$w"
+            printf ',\n  {"name": "%s", "transport": "%s", "window": %s, "batch": 1024, "events_per_sec": %s, "batch_latency_p99_ms": %s}' \
+                "$label" "$transport" "$w" \
+                "$(field "$label" events_per_sec)" \
+                "$(field "$label" batch_latency_p99_ms)"
         done
     done
     printf '\n]\n'
@@ -288,22 +285,21 @@ stop_daemon
 # On localhost the unix transport skips the TCP stack entirely, so it must
 # not lose to TCP at any window. Both loopback transports are CPU-bound to
 # the same apply ceiling on a small host and individual cells differ by
-# scheduler jitter, so the comparison sums each window's cells across the
-# decision modes (averaging the jitter down) and allows slack (default
-# 10%). The gate is for transport-level regressions — a unix listener
+# scheduler jitter, so the comparison sums each window's three repetitions
+# (averaging the jitter down) and allows slack (default 10%). The gate is for transport-level regressions — a unix listener
 # misconfigured into an extra copy or a per-batch syscall loses by tens of
 # percent, not single digits.
 UDS_SLACK_PCT="${BENCH_UDS_SLACK_PCT:-10}"
 for w in $MATRIX_WINDOWS; do
     tcp_sum=0
     uds_sum=0
-    for mode in $MATRIX_MODES; do
-        tcp_sum=$(awk -v a="$tcp_sum" -v b="$(field "tcp-$mode-w$w" events_per_sec)" 'BEGIN{print a+b}')
-        uds_sum=$(awk -v a="$uds_sum" -v b="$(field "uds-$mode-w$w" events_per_sec)" 'BEGIN{print a+b}')
+    for rep in $MATRIX_REPS; do
+        tcp_sum=$(awk -v a="$tcp_sum" -v b="$(field "tcp-rle-w$w-$rep" events_per_sec)" 'BEGIN{print a+b}')
+        uds_sum=$(awk -v a="$uds_sum" -v b="$(field "uds-rle-w$w-$rep" events_per_sec)" 'BEGIN{print a+b}')
     done
     awk -v tcp="$tcp_sum" -v uds="$uds_sum" \
         -v slack="$UDS_SLACK_PCT" -v w="$w" 'BEGIN {
-        printf "==> uds vs tcp (w=%d, summed over modes): %.0f vs %.0f events/sec\n", w, uds, tcp
+        printf "==> uds vs tcp (w=%d, summed over repetitions): %.0f vs %.0f events/sec\n", w, uds, tcp
         if (uds < tcp * (1 - slack / 100)) {
             print "TRANSPORT REGRESSION: unix-domain stream lost to TCP on localhost"
             exit 1

@@ -201,20 +201,11 @@ echo "==> unix-socket smoke (reactiveload -verify over unix://)"
 cat "$SMOKE_DIR/load-stream-unix.json"
 check_cursors "$SMOKE_DIR/load-stream-unix.json" bzip2 2
 
-# Mixed-proto smoke: -decisions plain pins the client handshake to stream
-# proto 2 — the wire an old build speaks — so this run proves the proto-3
-# server still hands pre-coalescing clients byte-correct decisions.
-echo "==> mixed-proto smoke (proto-2 client vs proto-3 server)"
-"$SMOKE_DIR/reactiveload" \
-    -addr "http://$ADDR" \
-    -bench vortex \
-    -scale 0.02 \
-    -concurrency 2 \
-    -batch 512 \
-    -stream \
-    -window 8 \
-    -decisions plain \
-    -verify
+# The stream speaks one protocol version. Older hellos — and the proto-4
+# wire byte for byte — are pinned by internal/server's
+# TestStreamProto2InteropByteExact, TestStreamHandshakeProtoMismatch,
+# TestStreamHandshakeNegotiatesDown and TestStreamProto4WireByteExact, which
+# drive ServeStream over a real TCP listener in the go test steps above.
 
 # Graceful shutdown must drain and leave a final snapshot behind.
 kill "$DAEMON_PID"
