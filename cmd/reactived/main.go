@@ -165,7 +165,7 @@ func publishExpvars() {
 		v := map[string]any{
 			"events":       total.Events,
 			"instructions": total.Instrs,
-			"misspec_rate": total.MisspecRate(),
+			"misspec_rate": total.MisspecFrac(),
 			"entries":      total.Entries,
 			"draining":     s.Draining(),
 			"mode":         s.Mode(),

@@ -126,10 +126,13 @@ type Controller struct {
 	// change. It must not call back into the controller.
 	OnTransition func(Transition)
 
-	stats Stats
+	// instrs counts the instructions AddInstrs accounted outside every
+	// branch.
+	instrs uint64
 }
 
-// Stats aggregates a controller's lifetime counters.
+// Stats aggregates lifetime counters: one unit's, or their sum over an
+// engine (Engine.Stats).
 type Stats struct {
 	// Events is the number of dynamic branch instances observed.
 	Events uint64
@@ -142,6 +145,18 @@ type Stats struct {
 	// biased→monitor transitions; Retirals counts branches hitting the
 	// oscillation limit.
 	Selections, Evictions, Retirals uint64
+}
+
+// Add folds o into s.
+func (s *Stats) Add(o Stats) {
+	s.Events += o.Events
+	s.Instrs += o.Instrs
+	s.Correct += o.Correct
+	s.Misspec += o.Misspec
+	s.NotSpec += o.NotSpec
+	s.Selections += o.Selections
+	s.Evictions += o.Evictions
+	s.Retirals += o.Retirals
 }
 
 // CorrectFrac returns correct speculations as a fraction of all events.
@@ -205,7 +220,7 @@ func (c *Controller) Step(id trace.BranchID, taken bool, gap, instr uint64) (v V
 }
 
 func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, gap, instr uint64) Verdict {
-	verdict := b.score(&c.stats, taken, gap, instr)
+	verdict := b.score(taken, gap, instr)
 	switch b.state {
 	case Monitor:
 		c.onMonitor(id, b, taken, instr)
@@ -219,8 +234,9 @@ func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, gap, inst
 	return verdict
 }
 
-// AddInstrs accounts dynamic instructions (the gaps between branch events).
-func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
+// AddInstrs accounts dynamic instructions (the gaps between branch events)
+// to the controller rather than to a branch.
+func (c *Controller) AddInstrs(n uint64) { c.instrs += n }
 
 func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr uint64) {
 	b.monSeen++
@@ -251,7 +267,6 @@ func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr u
 		if b.optCount >= c.params.MaxOptimizations {
 			// The oscillation limit: conservatively never
 			// speculate on this branch again.
-			c.stats.Retirals++
 			c.transition(id, b, Retired, instr)
 			return
 		}
@@ -261,7 +276,6 @@ func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr u
 		b.cyclePos = 0
 		b.smpExecs, b.smpWrong = 0, 0
 		b.everBiased = true
-		c.stats.Selections++
 		b.deploy(majTaken, instr+c.params.OptLatency)
 		c.transition(id, b, Biased, instr)
 		return
@@ -326,7 +340,6 @@ func (c *Controller) onBiasedSampling(id trace.BranchID, b *branch, taken bool, 
 
 func (c *Controller) evict(id trace.BranchID, b *branch, instr uint64) {
 	b.evictions++
-	c.stats.Evictions++
 	// The stale speculative code remains deployed until the repaired
 	// fragment is ready; its outcomes keep being counted.
 	b.undeploy(instr + c.params.OptLatency)
@@ -355,11 +368,9 @@ func (c *Controller) transition(id trace.BranchID, b *branch, to State, instr ui
 	}
 }
 
-// Stats returns the aggregate counters so far.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// SetTransitionHook sets OnTransition.
-func (c *Controller) SetTransitionHook(f func(Transition)) { c.OnTransition = f }
+// Stats returns the aggregate counters so far: every branch's lifetime
+// counters plus the instructions AddInstrs accounted (see Engine.Stats).
+func (c *Controller) Stats() Stats { return sumStats(&c.branches, c.instrs, (*branch).counters) }
 
 // Decide returns the branch's classification state and live deployment.
 func (c *Controller) Decide(id trace.BranchID) (st State, dir, live bool) {

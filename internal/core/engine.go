@@ -10,9 +10,10 @@ import (
 
 // Engine runs one speculation-control policy over many units at once. Each
 // unit's state lives by value in fixed-size pages indexed by unit ID
-// (Pages), sized to what the policy's model needs; the parameters and the
-// transition hook are held once per engine. Controller is the reactive
-// engine; NewEngine builds any registered policy's.
+// (Pages), sized to what the policy's model needs, and the unit's page entry
+// is the only place its events are counted; the parameters are held once
+// per engine. Controller is the reactive engine; NewEngine builds any
+// registered policy's.
 //
 // Like Controller, an engine indexes units densely from zero: the serving
 // table maps client IDs onto dense slots before they reach one.
@@ -23,17 +24,19 @@ type Engine interface {
 	// count instr, gap instructions after the previous event, and returns
 	// the verdict together with the unit's resulting classification state
 	// and live deployment — everything a serving decision encodes. The gap
-	// is accounted to the unit and to the aggregate counters.
+	// is accounted to the unit.
 	Step(id trace.BranchID, outcome bool, gap, instr uint64) (v Verdict, st State, dir, live bool)
 	// Decide returns the unit's classification state and live deployment
 	// without observing an event (Monitor and not live for a unit never
 	// seen).
 	Decide(id trace.BranchID) (st State, dir, live bool)
-	// AddInstrs accounts dynamic instructions to the aggregate counters
-	// only (the gaps between events, for callers that use Step with a
+	// AddInstrs accounts dynamic instructions to the engine rather than to
+	// a unit (the gaps between events, for callers that use Step with a
 	// zero gap).
 	AddInstrs(n uint64)
-	// Stats returns the aggregate counters over every unit.
+	// Stats returns the aggregate counters: the sum of every unit's
+	// lifetime counters (Export) plus the instructions AddInstrs accounted.
+	// It walks the pages, so it costs O(units).
 	Stats() Stats
 	// Export returns the unit's full serializable state, its lifetime
 	// counters, and whether it has been touched (executed at least once
@@ -46,10 +49,6 @@ type Engine interface {
 	// cannot hold exactly: a field it does not keep, a window field wider
 	// than 32 bits, or counters that contradict the state.
 	Import(id trace.BranchID, st BranchState, s Stats) error
-	// SetTransitionHook registers a hook invoked after every
-	// classification change (nil unregisters). The hook must not call
-	// back into the engine.
-	SetTransitionHook(func(Transition))
 }
 
 // NewEngine builds the multi-unit engine of a registered policy. The empty
@@ -134,27 +133,21 @@ func (u *unit) undeploy(at uint64) {
 	u.nextAt = 0
 }
 
-// score counts one event gap instructions after the previous one, ticks the
-// deployment to instr and returns outcome's verdict against the speculation
-// live at that instant. Each count lands in the unit and in the engine's
-// aggregate counters agg.
-func (u *unit) score(agg *Stats, outcome bool, gap, instr uint64) Verdict {
+// score counts one event gap instructions after the previous one in the
+// unit, ticks the deployment to instr and returns outcome's verdict against
+// the speculation live at that instant.
+func (u *unit) score(outcome bool, gap, instr uint64) Verdict {
 	u.execs++
 	u.instrs += gap
-	agg.Events++
-	agg.Instrs += gap
 	u.tick(instr)
 	switch {
 	case !u.live():
-		agg.NotSpec++
 		return NotSpeculated
 	case outcome == u.liveDir:
 		u.correct++
-		agg.Correct++
 		return Correct
 	default:
 		u.misspec++
-		agg.Misspec++
 		return Misspec
 	}
 }
@@ -190,6 +183,14 @@ func (u *unit) stats(selections, evictions uint64) Stats {
 	if u.state == Retired {
 		s.Retirals = 1
 	}
+	return s
+}
+
+// sumStats returns the sum of every unit's lifetime counters on pages, as
+// counters derives them, plus instrs accounted outside any unit.
+func sumStats[T any](pages *Pages[T], instrs uint64, counters func(*T) Stats) Stats {
+	s := Stats{Instrs: instrs}
+	pages.Each(func(_ uint32, u *T) { s.Add(counters(u)) })
 	return s
 }
 

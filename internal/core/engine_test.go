@@ -79,8 +79,10 @@ func TestUnitSizes(t *testing.T) {
 
 // TestExportDerivesCounters checks, for every policy and every unit, that
 // the counters Export derives from unit state match the ones an
-// independent tally of the same stream counts: verdicts per unit from
-// Step's return, transitions per unit from the hook.
+// independent tally of the same stream counts from what Step returns:
+// verdicts per unit, and transitions per unit from the change of the state
+// Step reports (into biased a selection, into retired a retiral, biased to
+// monitor an eviction).
 func TestExportDerivesCounters(t *testing.T) {
 	evs := synthEvents(60_000)
 	for _, name := range PolicyNames() {
@@ -90,29 +92,17 @@ func TestExportDerivesCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := map[trace.BranchID]*Stats{}
-			get := func(id trace.BranchID) *Stats {
-				if want[id] == nil {
-					want[id] = &Stats{}
-				}
-				return want[id]
-			}
-			e.SetTransitionHook(func(tr Transition) {
-				s := get(tr.Branch)
-				switch {
-				case tr.To == Biased:
-					s.Selections++
-				case tr.To == Retired:
-					s.Retirals++
-				case tr.From == Biased && tr.To == Monitor:
-					s.Evictions++
-				}
-			})
+			last := map[trace.BranchID]State{}
 			var instr uint64
 			for _, ev := range evs {
 				gap := uint64(ev.Gap)
 				instr += gap
-				v, _, _, _ := e.Step(ev.Branch, ev.Taken, gap, instr)
-				s := get(ev.Branch)
+				v, to, _, _ := e.Step(ev.Branch, ev.Taken, gap, instr)
+				s := want[ev.Branch]
+				if s == nil {
+					s = &Stats{}
+					want[ev.Branch] = s
+				}
 				s.Events++
 				s.Instrs += gap
 				switch v {
@@ -123,6 +113,16 @@ func TestExportDerivesCounters(t *testing.T) {
 				default:
 					s.NotSpec++
 				}
+				switch from := last[ev.Branch]; {
+				case from == to:
+				case to == Biased:
+					s.Selections++
+				case to == Retired:
+					s.Retirals++
+				case from == Biased && to == Monitor:
+					s.Evictions++
+				}
+				last[ev.Branch] = to
 			}
 			var transitions uint64
 			for id, w := range want {
@@ -141,6 +141,56 @@ func TestExportDerivesCounters(t *testing.T) {
 			}
 			if transitions == 0 {
 				t.Fatal("the stream made no transitions; it pins nothing")
+			}
+		})
+	}
+}
+
+// TestStatsSumUnits checks, for every policy, that Engine.Stats is exactly
+// the sum of Export over the touched units plus what AddInstrs accounted,
+// and that a fresh engine importing every unit reports the same Stats
+// less those instructions.
+func TestStatsSumUnits(t *testing.T) {
+	evs := synthEvents(60_000)
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(name, testParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var instr, outside uint64
+			for i, ev := range evs {
+				gap := uint64(ev.Gap)
+				instr += gap
+				if i%3 == 0 {
+					// Every third gap goes to the engine, not the unit.
+					e.AddInstrs(gap)
+					outside += gap
+					gap = 0
+				}
+				e.Step(ev.Branch, ev.Taken, gap, instr)
+			}
+			var sum Stats
+			clone, _ := NewEngine(name, testParams())
+			for id := trace.BranchID(0); id < 24; id++ {
+				st, s, ok := e.Export(id)
+				if !ok {
+					t.Fatalf("unit %d untouched", id)
+				}
+				sum.Add(s)
+				if err := clone.Import(id, st, s); err != nil {
+					t.Fatalf("unit %d: %v", id, err)
+				}
+			}
+			if sum.Selections == 0 || sum.Events != uint64(len(evs)) {
+				t.Fatalf("the stream pins nothing: %+v", sum)
+			}
+			if got := clone.Stats(); got != sum {
+				t.Fatalf("imported engine Stats %+v, want the units' sum %+v", got, sum)
+			}
+			sum.Instrs += outside
+			if got := e.Stats(); got != sum {
+				t.Fatalf("Stats %+v, want the units' sum plus AddInstrs %+v", got, sum)
 			}
 		})
 	}

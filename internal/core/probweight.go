@@ -28,8 +28,7 @@ import (
 type probWeightEngine struct {
 	params Params
 	units  Pages[probWeightUnit]
-	hook   func(Transition)
-	stats  Stats
+	instrs uint64 // accounted by AddInstrs, outside every unit
 }
 
 // probWeightUnit is one unit's state: 80 bytes, counters included.
@@ -69,7 +68,7 @@ func (e *probWeightEngine) unitFor(id trace.BranchID) *probWeightUnit {
 
 func (e *probWeightEngine) Step(id trace.BranchID, outcome bool, gap, instr uint64) (Verdict, State, bool, bool) {
 	u := e.unitFor(id)
-	verdict := u.score(&e.stats, outcome, gap, instr)
+	verdict := u.score(outcome, gap, instr)
 
 	x := 0.0
 	if outcome {
@@ -96,16 +95,14 @@ func (e *probWeightEngine) Step(id trace.BranchID, outcome bool, gap, instr uint
 	case Monitor:
 		if conf >= e.params.SelectThreshold {
 			if u.optCount >= e.params.MaxOptimizations {
-				e.stats.Retirals++
-				e.setState(id, u, Retired, instr)
+				u.state = Retired
 				break
 			}
 			u.optCount++
 			u.direction = dir
 			u.everBiased = true
-			e.stats.Selections++
 			u.deploy(dir, instr+e.params.OptLatency)
-			e.setState(id, u, Biased, instr)
+			u.state = Biased
 		}
 	case Biased:
 		if e.params.NoEviction {
@@ -118,20 +115,11 @@ func (e *probWeightEngine) Step(id trace.BranchID, outcome bool, gap, instr uint
 		}
 		if dir != u.direction || conf < e.params.EvictBias {
 			u.evictions++
-			e.stats.Evictions++
 			u.undeploy(instr + e.params.OptLatency)
-			e.setState(id, u, Monitor, instr)
+			u.state = Monitor
 		}
 	}
 	return verdict, u.state, u.liveDir, u.live()
-}
-
-func (e *probWeightEngine) setState(id trace.BranchID, u *probWeightUnit, to State, instr uint64) {
-	from := u.state
-	u.state = to
-	if e.hook != nil {
-		e.hook(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: u.execs})
-	}
 }
 
 func (e *probWeightEngine) Decide(id trace.BranchID) (State, bool, bool) {
@@ -141,17 +129,21 @@ func (e *probWeightEngine) Decide(id trace.BranchID) (State, bool, bool) {
 	return Monitor, false, false
 }
 
-func (e *probWeightEngine) AddInstrs(n uint64)                   { e.stats.Instrs += n }
-func (e *probWeightEngine) Stats() Stats                         { return e.stats }
-func (e *probWeightEngine) SetTransitionHook(f func(Transition)) { e.hook = f }
+func (e *probWeightEngine) AddInstrs(n uint64) { e.instrs += n }
+func (e *probWeightEngine) Stats() Stats {
+	return sumStats(&e.units, e.instrs, (*probWeightUnit).counters)
+}
 
 func (e *probWeightEngine) Export(id trace.BranchID) (BranchState, Stats, bool) {
 	u := e.units.Get(uint32(id))
 	if u == nil || u.untouched() {
 		return BranchState{}, Stats{}, false
 	}
-	return u.export(), u.stats(uint64(u.optCount), uint64(u.evictions)), true
+	return u.export(), u.counters(), true
 }
+
+// counters derives the unit's lifetime counters.
+func (u *probWeightUnit) counters() Stats { return u.stats(uint64(u.optCount), uint64(u.evictions)) }
 
 func (u *probWeightUnit) export() BranchState {
 	st := BranchState{

@@ -14,8 +14,7 @@ import "reactivespec/internal/trace"
 type selfTrainEngine struct {
 	params Params
 	units  Pages[selfTrainUnit]
-	hook   func(Transition)
-	stats  Stats
+	instrs uint64 // accounted by AddInstrs, outside every unit
 }
 
 // selfTrainUnit is one unit's state: 64 bytes, counters included.
@@ -36,21 +35,21 @@ func (e *selfTrainEngine) unitFor(id trace.BranchID) *selfTrainUnit {
 
 func (e *selfTrainEngine) Step(id trace.BranchID, outcome bool, gap, instr uint64) (Verdict, State, bool, bool) {
 	u := e.unitFor(id)
-	verdict := u.score(&e.stats, outcome, gap, instr)
+	verdict := u.score(outcome, gap, instr)
 	if u.state == Monitor {
 		u.monSeen++
 		if outcome {
 			u.monTaken++
 		}
 		if uint64(u.monSeen) >= e.params.MonitorPeriod {
-			e.classify(id, u, instr)
+			e.classify(u, instr)
 		}
 	}
 	return verdict, u.state, u.liveDir, u.live()
 }
 
 // classify makes the one-shot training decision at the end of the window.
-func (e *selfTrainEngine) classify(id trace.BranchID, u *selfTrainUnit, instr uint64) {
+func (e *selfTrainEngine) classify(u *selfTrainUnit, instr uint64) {
 	seen, taken := uint64(u.monSeen), uint64(u.monTaken)
 	majTaken := taken*2 >= seen
 	maj := taken
@@ -60,20 +59,11 @@ func (e *selfTrainEngine) classify(id trace.BranchID, u *selfTrainUnit, instr ui
 	if float64(maj) >= e.params.SelectThreshold*float64(seen) {
 		u.direction = majTaken
 		u.everBiased = true
-		e.stats.Selections++
 		u.deploy(majTaken, instr+e.params.OptLatency)
-		e.setState(id, u, Biased, instr)
+		u.state = Biased
 		return
 	}
-	e.setState(id, u, Unbiased, instr)
-}
-
-func (e *selfTrainEngine) setState(id trace.BranchID, u *selfTrainUnit, to State, instr uint64) {
-	from := u.state
-	u.state = to
-	if e.hook != nil {
-		e.hook(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: u.execs})
-	}
+	u.state = Unbiased
 }
 
 func (e *selfTrainEngine) Decide(id trace.BranchID) (State, bool, bool) {
@@ -83,9 +73,10 @@ func (e *selfTrainEngine) Decide(id trace.BranchID) (State, bool, bool) {
 	return Monitor, false, false
 }
 
-func (e *selfTrainEngine) AddInstrs(n uint64)                   { e.stats.Instrs += n }
-func (e *selfTrainEngine) Stats() Stats                         { return e.stats }
-func (e *selfTrainEngine) SetTransitionHook(f func(Transition)) { e.hook = f }
+func (e *selfTrainEngine) AddInstrs(n uint64) { e.instrs += n }
+func (e *selfTrainEngine) Stats() Stats {
+	return sumStats(&e.units, e.instrs, (*selfTrainUnit).counters)
+}
 
 // selections is a unit's selection count. The policy selects at most once
 // and its snapshot entries never carried OptCount, so EverBiased records it.
@@ -101,8 +92,11 @@ func (e *selfTrainEngine) Export(id trace.BranchID) (BranchState, Stats, bool) {
 	if u == nil || u.untouched() {
 		return BranchState{}, Stats{}, false
 	}
-	return u.export(), u.stats(selections(u.everBiased), 0), true
+	return u.export(), u.counters(), true
 }
+
+// counters derives the unit's lifetime counters.
+func (u *selfTrainUnit) counters() Stats { return u.stats(selections(u.everBiased), 0) }
 
 func (u *selfTrainUnit) export() BranchState {
 	st := BranchState{

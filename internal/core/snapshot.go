@@ -58,8 +58,11 @@ func (c *Controller) Export(id trace.BranchID) (BranchState, Stats, bool) {
 	if b == nil || b.untouched() {
 		return BranchState{}, Stats{}, false
 	}
-	return b.export(), b.stats(uint64(b.optCount), uint64(b.evictions)), true
+	return b.export(), b.counters(), true
 }
+
+// counters derives the branch's lifetime counters.
+func (b *branch) counters() Stats { return b.stats(uint64(b.optCount), uint64(b.evictions)) }
 
 func (b *branch) export() BranchState {
 	st := BranchState{
@@ -81,7 +84,7 @@ func (b *branch) export() BranchState {
 // Import overwrites the branch's state and lifetime counters with a
 // previously exported snapshot, or refuses with a *StateError what a branch
 // cannot hold exactly (see Engine.Import). The controller's aggregate Stats
-// are not touched; restore them separately with SetStats.
+// follow, since they are the sum over its branches.
 func (c *Controller) Import(id trace.BranchID, st BranchState, s Stats) error {
 	var b branch
 	if err := b.restore(st, s, uint64(st.OptCount), uint64(st.Evictions)); err != nil {
@@ -112,6 +115,3 @@ func (c *Controller) TouchedBranches() []trace.BranchID {
 	})
 	return ids
 }
-
-// SetStats overwrites the aggregate counters (snapshot restore).
-func (c *Controller) SetStats(s Stats) { c.stats = s }

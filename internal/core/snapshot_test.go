@@ -40,15 +40,19 @@ func synthEvents(n int) []trace.Event {
 func driveEvents(c *Controller, evs []trace.Event, instr *uint64) []Verdict {
 	out := make([]Verdict, 0, len(evs))
 	for _, ev := range evs {
-		*instr += uint64(ev.Gap)
-		c.AddInstrs(uint64(ev.Gap))
-		out = append(out, c.OnBranch(ev.Branch, ev.Taken, *instr))
+		gap := uint64(ev.Gap)
+		*instr += gap
+		v, _, _, _ := c.Step(ev.Branch, ev.Taken, gap, *instr)
+		out = append(out, v)
 	}
 	return out
 }
 
 // TestSnapshotRoundTrip checks that exporting every touched branch into a
-// fresh controller reproduces the original's future decisions exactly.
+// fresh controller reproduces the original's future decisions and its
+// aggregate counters exactly. Events carry their gaps into Step, so every
+// instruction lives in a branch and the imported branches hold all of
+// Stats.
 func TestSnapshotRoundTrip(t *testing.T) {
 	params := DefaultParams().Scaled(100)
 	evs := synthEvents(40_000)
@@ -72,9 +76,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restored.SetStats(orig.Stats())
 	if restored.Stats() != orig.Stats() {
-		t.Fatalf("SetStats: got %+v, want %+v", restored.Stats(), orig.Stats())
+		t.Fatalf("imported Stats %+v, want %+v", restored.Stats(), orig.Stats())
+	}
+	if orig.Stats().Instrs != instrOrig {
+		t.Fatalf("Stats count %d instructions, the stream had %d", orig.Stats().Instrs, instrOrig)
 	}
 
 	instrRestored := instrOrig

@@ -65,29 +65,8 @@ func frac(n, d uint64) float64 {
 // Run drives the controller over the whole stream and returns the run's
 // statistics.
 func Run(s trace.Stream, ctl Controller) Stats {
-	var st Stats
-	sink, _ := ctl.(instrSink)
-	instr := uint64(0)
-	for {
-		ev, ok := s.Next()
-		if !ok {
-			return st
-		}
-		instr += uint64(ev.Gap)
-		if sink != nil {
-			sink.AddInstrs(uint64(ev.Gap))
-		}
-		st.Events++
-		st.Instrs += uint64(ev.Gap)
-		switch ctl.OnBranch(ev.Branch, ev.Taken, instr) {
-		case core.Correct:
-			st.Correct++
-		case core.Misspec:
-			st.Misspec++
-		default:
-			st.NotSpec++
-		}
-	}
+	st, _ := run(context.Background(), s, ctl, nil)
+	return st
 }
 
 // ctxCheckEvery is how many events RunContext processes between context
@@ -104,6 +83,25 @@ func RunContext(ctx context.Context, s trace.Stream, ctl Controller) (Stats, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return run(ctx, s, ctl, nil)
+}
+
+// Observer is an optional per-event callback for experiments that need to
+// watch the raw stream alongside the controller (eviction neighborhoods,
+// characterization windows, …). It runs after the controller has processed
+// the event.
+type Observer func(ev trace.Event, instr uint64, v core.Verdict)
+
+// RunObserved is Run with a per-event observer.
+func RunObserved(s trace.Stream, ctl Controller, obs Observer) Stats {
+	st, _ := run(context.Background(), s, ctl, obs)
+	return st
+}
+
+// run is the one verdict-counting loop behind Run, RunContext and
+// RunObserved: it polls ctx every ctxCheckEvery events and calls obs, when
+// non-nil, after each one.
+func run(ctx context.Context, s trace.Stream, ctl Controller, obs Observer) (Stats, error) {
 	var st Stats
 	sink, _ := ctl.(instrSink)
 	instr := uint64(0)
@@ -116,39 +114,6 @@ func RunContext(ctx context.Context, s trace.Stream, ctl Controller) (Stats, err
 		ev, ok := s.Next()
 		if !ok {
 			return st, nil
-		}
-		instr += uint64(ev.Gap)
-		if sink != nil {
-			sink.AddInstrs(uint64(ev.Gap))
-		}
-		st.Events++
-		st.Instrs += uint64(ev.Gap)
-		switch ctl.OnBranch(ev.Branch, ev.Taken, instr) {
-		case core.Correct:
-			st.Correct++
-		case core.Misspec:
-			st.Misspec++
-		default:
-			st.NotSpec++
-		}
-	}
-}
-
-// Observer is an optional per-event callback for experiments that need to
-// watch the raw stream alongside the controller (eviction neighborhoods,
-// characterization windows, …). It runs after the controller has processed
-// the event.
-type Observer func(ev trace.Event, instr uint64, v core.Verdict)
-
-// RunObserved is Run with a per-event observer.
-func RunObserved(s trace.Stream, ctl Controller, obs Observer) Stats {
-	var st Stats
-	sink, _ := ctl.(instrSink)
-	instr := uint64(0)
-	for {
-		ev, ok := s.Next()
-		if !ok {
-			return st
 		}
 		instr += uint64(ev.Gap)
 		if sink != nil {

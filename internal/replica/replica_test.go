@@ -87,7 +87,7 @@ func startPrimarySeg(t *testing.T, segBytes int64) *primaryEnv {
 	}
 	go sh.Serve(ln)
 	t.Cleanup(func() { sh.Close(); l.Close() })
-	return &primaryEnv{srv: s, client: server.NewClient(ts.URL, ts.Client()), log: l, shipper: sh, ln: ln, ts: ts}
+	return &primaryEnv{srv: s, client: server.Connect(ts.URL, server.WithHTTPClient(ts.Client())), log: l, shipper: sh, ln: ln, ts: ts}
 }
 
 // kill simulates a primary crash: the shipper, its listener, and the HTTP
@@ -130,7 +130,7 @@ func startReplica(t *testing.T, addr string, window uint32) *replicaEnv {
 	})
 	s.SetSealFunc(f.Seal)
 	t.Cleanup(func() { f.Seal(); l.Close() })
-	return &replicaEnv{srv: s, client: server.NewClient(ts.URL, ts.Client()), log: l, follower: f}
+	return &replicaEnv{srv: s, client: server.Connect(ts.URL, server.WithHTTPClient(ts.Client())), log: l, follower: f}
 }
 
 // waitApplied blocks until the follower has applied through seq (the

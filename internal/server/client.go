@@ -23,8 +23,7 @@ import (
 // Connect and functional options:
 //
 //	c := server.Connect("http://127.0.0.1:8344",
-//	    server.WithTimeout(10*time.Second),
-//	    server.WithRetry(3, 100*time.Millisecond))
+//	    server.WithTimeout(10*time.Second))
 //
 // Every method takes a context.Context governing that call's lifetime. The
 // client is safe for concurrent use by multiple goroutines, but batches for
@@ -38,8 +37,6 @@ type Client struct {
 	// over the same socket.
 	unixPath string
 	hc       *http.Client
-	retries  int           // extra attempts after the first, transport errors only
-	backoff  time.Duration // sleep between attempts, doubled each retry
 	// paramsPin, when non-empty, is appended as the params= query pin on
 	// every ingest request and checked against /v1/info by VerifyParams.
 	paramsPin string
@@ -72,21 +69,6 @@ func WithTimeout(d time.Duration) Option {
 		hc := *c.hc
 		hc.Timeout = d
 		c.hc = &hc
-	}
-}
-
-// WithRetry retries idempotent requests (decide, healthz, metrics, info) up
-// to n extra times on transport errors, sleeping backoff before the first
-// retry and doubling it each attempt. Ingest and snapshot are never retried:
-// the events (or the snapshot) may have landed even when the response was
-// lost, and replaying them would double-apply.
-func WithRetry(n int, backoff time.Duration) Option {
-	return func(c *Client) {
-		if n < 0 {
-			n = 0
-		}
-		c.retries = n
-		c.backoff = backoff
 	}
 }
 
@@ -149,45 +131,17 @@ func Connect(base string, opts ...Option) *Client {
 	return c
 }
 
-// NewClient returns a client for the daemon at base. A nil hc uses the
-// default client with a 60s timeout.
-//
-// Deprecated: use Connect with WithHTTPClient; NewClient remains for callers
-// of the pre-options API.
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		return Connect(base)
-	}
-	return Connect(base, WithHTTPClient(hc))
-}
-
-// get performs one GET round trip with the retry policy (GETs here are all
-// idempotent reads).
+// get performs one GET round trip.
 func (c *Client) get(ctx context.Context, op, url string) (*http.Response, error) {
-	var lastErr error
-	backoff := c.backoff
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, fmt.Errorf("server: %s: %w", op, err)
-		}
-		resp, err := c.hc.Do(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if attempt == c.retries || ctx.Err() != nil {
-			return nil, fmt.Errorf("server: %s: %w", op, lastErr)
-		}
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("server: %s: %w", op, ctx.Err())
-			}
-			backoff *= 2
-		}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s: %w", op, err)
 	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s: %w", op, err)
+	}
+	return resp, nil
 }
 
 // getJSON performs a GET and decodes a JSON body into out.
@@ -522,12 +476,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
 }
-
-// MetricsText fetches the raw /metrics exposition.
-//
-// Deprecated: use Metrics; MetricsText remains for callers of the
-// pre-context API.
-func (c *Client) MetricsText(ctx context.Context) (string, error) { return c.Metrics(ctx) }
 
 // httpError decodes a non-200 response into an *APIError. Responses carrying
 // the unified JSON envelope keep their machine-readable code (and map onto

@@ -6,43 +6,19 @@ import (
 	"reactivespec/internal/wal"
 )
 
-// TableMetrics are a table partition's lifetime counters, or their sum over
-// the whole table (Table.Metrics). Counters reset on process restart (they
-// describe this serving session, not the snapshotted controller state).
+// TableMetrics are the whole table's counters (Table.Metrics), derived at
+// read time from the units' own lifetime counters and states. They describe
+// the table's state, which snapshots and the WAL restore, so a restarted
+// daemon reports what it reported before it stopped.
 type TableMetrics struct {
-	// Events and Instrs count the dynamic branch instances and
-	// instructions ingested.
-	Events uint64
-	Instrs uint64
-	// Correct, Misspec and NotSpec partition Events by verdict.
-	Correct uint64
-	Misspec uint64
-	NotSpec uint64
-	// Transitions counts classification transitions into each state.
-	Transitions [4]uint64
+	// Stats sums every unit's lifetime counters: events, instructions,
+	// verdicts, selections, evictions and retirals.
+	core.Stats
+	// Units counts resident units by classification state (index
+	// core.State); Units[core.Retired] equals Stats.Retirals.
+	Units [4]uint64
 	// Entries is the number of resident (program, unit) entries.
 	Entries uint64
-}
-
-// MisspecRate returns misspeculations as a fraction of ingested events.
-func (m TableMetrics) MisspecRate() float64 {
-	if m.Events == 0 {
-		return 0
-	}
-	return float64(m.Misspec) / float64(m.Events)
-}
-
-// Add folds o into m (for whole-table totals).
-func (m *TableMetrics) Add(o TableMetrics) {
-	m.Events += o.Events
-	m.Instrs += o.Instrs
-	m.Correct += o.Correct
-	m.Misspec += o.Misspec
-	m.NotSpec += o.NotSpec
-	for i := range m.Transitions {
-		m.Transitions[i] += o.Transitions[i]
-	}
-	m.Entries += o.Entries
 }
 
 // batchLatencyQuantiles are the quantiles /metrics exposes for every
@@ -51,9 +27,9 @@ var batchLatencyQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // serverInstruments are the server's direct registry instruments: cheap
 // atomic counters on the ingest path plus the latency and batch-size
-// summaries. The table counters live under the partition locks instead and
-// are exported through a collector (registerTableCollector) so the ingest
-// hot path pays no extra synchronization for them.
+// summaries. The table families are derived from the units at scrape time
+// instead (registerTableCollector), so the ingest hot path counts nothing
+// for them.
 type serverInstruments struct {
 	batches          *obs.Counter
 	rejectedFrames   *obs.Counter
@@ -143,21 +119,28 @@ func registerWALCollector(reg *obs.Registry, l *wal.Log) {
 	})
 }
 
-// registerTableCollector exposes the table's counters — which live under
-// the partition locks, not in registry instruments — as computed
-// whole-table families.
+// registerTableCollector exposes the table's whole-table families, derived
+// from the units' page entries at every scrape (Table.Metrics). They count
+// over the table's whole restored state, so they read the same before and
+// after a restart.
 func registerTableCollector(reg *obs.Registry, t *Table) {
 	reg.RegisterCollector("reactived_table", func(e *obs.Emitter) {
 		total := t.Metrics()
-		e.Family("reactived_table_events_total", "counter", "Events ingested across the table.")
+		e.Family("reactived_table_events_total", "counter", "Events applied across the table.")
 		e.SampleUint(total.Events)
 		e.Family("reactived_table_misspec_rate", "gauge", "Misspeculations per event across the table.")
-		e.Sample(total.MisspecRate())
-		e.Family("reactived_table_transitions_total", "counter",
-			"Classification transitions into each state across the table.")
-		for st, n := range total.Transitions {
+		e.Sample(total.MisspecFrac())
+		e.Family("reactived_table_units", "gauge",
+			"Resident units in each classification state across the table.")
+		for st, n := range total.Units {
 			e.SampleUint(n, "state", core.State(st).String())
 		}
+		e.Family("reactived_table_selections_total", "counter",
+			"Unit selections (entries into the biased state) across the table.")
+		e.SampleUint(total.Selections)
+		e.Family("reactived_table_evictions_total", "counter",
+			"Unit evictions (biased to monitor) across the table.")
+		e.SampleUint(total.Evictions)
 		e.Family("reactived_table_entries", "gauge", "Resident (program, unit) entries across the table.")
 		e.SampleUint(total.Entries)
 	})

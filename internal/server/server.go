@@ -635,7 +635,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:    "ok",
 		UptimeSec: time.Since(s.start).Seconds(),
 		Programs:  s.table.Partitions(),
-		Events:    s.table.Metrics().Events,
+		Events:    s.table.Events(),
 		Draining:  s.draining.Load(),
 	})
 }

@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, NewClient(ts.URL, ts.Client())
+	return s, Connect(ts.URL, WithHTTPClient(ts.Client()))
 }
 
 func TestIngestAndDecide(t *testing.T) {
@@ -77,7 +77,10 @@ func TestIngestAndDecide(t *testing.T) {
 	}
 	for _, want := range []string{
 		"reactived_table_misspec_rate",
-		"reactived_table_transitions_total{state=\"biased\"}",
+		"reactived_table_units{state=\"biased\"}",
+		"reactived_table_units{state=\"retired\"}",
+		"reactived_table_selections_total",
+		"reactived_table_evictions_total",
 		"reactived_table_entries 24",
 		"reactived_batch_latency_seconds{quantile=\"0.99\"}",
 		"reactived_batches_total 5",

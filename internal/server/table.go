@@ -16,15 +16,15 @@ import (
 // stream) is byte-identical.
 //
 // A partition is the paper's per-program controller (Section 3.2): it owns
-// the program's ingest cursor, its counters, and a dense store of unit
-// state. Client unit IDs are arbitrary uint32s, so a slot index (slotIndex)
-// maps each ID onto the next free slot the first time it is seen, and unit
-// state lives in fixed-size pages indexed by slot (core.Pages): memory
-// follows the units actually touched, never the largest ID, and growth never
-// copies a unit.
+// the program's ingest cursor and a dense store of unit state. Client unit
+// IDs are arbitrary uint32s, so a slot index (slotIndex) maps each ID onto
+// the next free slot the first time it is seen, and unit state lives in
+// fixed-size pages indexed by slot (core.Pages): memory follows the units
+// actually touched, never the largest ID, and growth never copies a unit.
 // Whatever the policy, a partition runs exactly one multi-unit core.Engine
 // (for the reactive default, a core.Controller) whose unit IDs are slots:
-// one page entry holds a slot's state and its lifetime counters together.
+// one page entry holds a slot's state and its lifetime counters together,
+// and is the only place an event is counted (Metrics derives the rest).
 //
 // Each slot sees exactly the (outcome, instruction-count) sequence an
 // independent in-process policy would, so per-unit decisions are
@@ -62,11 +62,9 @@ type partition struct {
 	events uint64
 	// index maps a client unit ID onto its dense slot.
 	index slotIndex
-	// engine holds every slot's unit state; its unit IDs are slots. Its
-	// transition hook counts into metrics, and runs under mu like every
-	// other engine call.
-	engine  core.Engine
-	metrics TableMetrics
+	// engine holds every slot's unit state and lifetime counters; its unit
+	// IDs are slots.
+	engine core.Engine
 }
 
 // NewTable returns a table running the default reactive policy with the
@@ -122,20 +120,25 @@ func (t *Table) partition(key string) *partition {
 			panic(err)
 		}
 		p = &partition{key: key, engine: e}
-		e.SetTransitionHook(p.onTransition)
 		t.parts[key] = p
 	}
 	return p
 }
 
-// sortedPartitions returns every partition, ordered by key.
-func (t *Table) sortedPartitions() []*partition {
+// partitions returns every partition, in no particular order.
+func (t *Table) partitions() []*partition {
 	t.mu.RLock()
 	out := make([]*partition, 0, len(t.parts))
 	for _, p := range t.parts {
 		out = append(out, p)
 	}
 	t.mu.RUnlock()
+	return out
+}
+
+// sortedPartitions returns every partition, ordered by key.
+func (t *Table) sortedPartitions() []*partition {
+	out := t.partitions()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -145,12 +148,6 @@ func (t *Table) Partitions() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.parts)
-}
-
-// onTransition counts one classification transition into the partition's
-// metrics.
-func (p *partition) onTransition(tr core.Transition) {
-	p.metrics.Transitions[tr.To]++
 }
 
 // slotIndex maps client unit IDs onto dense slots, assigned in first-seen
@@ -268,26 +265,11 @@ func (x *slotIndex) each(f func(id trace.BranchID, s uint32)) {
 	}
 }
 
-// count bumps the partition counters for one event.
-func (m *TableMetrics) count(v core.Verdict, gap uint64) {
-	m.Events++
-	m.Instrs += gap
-	switch v {
-	case core.Correct:
-		m.Correct++
-	case core.Misspec:
-		m.Misspec++
-	default:
-		m.NotSpec++
-	}
-}
-
 // applyLocked observes events in order starting at instruction count instr,
 // appending one encoded decision per event to dst, and leaves the cursor
 // at the returned instruction count with the events counted. It is the one
 // apply path every ingest route ends in. The caller holds p.mu for writing.
 func (p *partition) applyLocked(evs []trace.Event, instr uint64, dst []byte) ([]byte, uint64) {
-	m := &p.metrics
 	e := p.engine
 	var last, slot trace.BranchID
 	for i, ev := range evs {
@@ -303,7 +285,6 @@ func (p *partition) applyLocked(evs []trace.Event, instr uint64, dst []byte) ([]
 		instr += gap
 		var d Decision
 		d.Verdict, d.State, d.Dir, d.Live = e.Step(slot, ev.Taken, gap, instr)
-		m.count(d.Verdict, gap)
 		dst = append(dst, d.Encode())
 	}
 	p.instr = instr
@@ -473,18 +454,35 @@ func (t *Table) DecideKind(program string, kind trace.Kind, id trace.BranchID) D
 	return t.Decide(trace.EncodeKindProgram(kind, program), id)
 }
 
-// Metrics returns the whole table's counters, summed over partitions. Like
-// Decide it takes only read locks.
+// Metrics derives the whole table's counters from its units. Under each
+// partition's read lock it sums the engine's page walk (core.Engine.Stats)
+// and reads the state of every assigned slot, so it costs O(units) and
+// never delays a Decide. Like the units, the result covers the table's
+// whole restored state, not just this process's ingest.
 func (t *Table) Metrics() TableMetrics {
-	var total TableMetrics
-	for _, p := range t.sortedPartitions() {
+	var m TableMetrics
+	for _, p := range t.partitions() {
 		p.mu.RLock()
-		m := p.metrics
-		m.Entries = uint64(p.index.n)
+		m.Stats.Add(p.engine.Stats())
+		for s := uint32(0); s < p.index.n; s++ {
+			st, _, _ := p.engine.Decide(trace.BranchID(s))
+			m.Units[st]++
+		}
+		m.Entries += uint64(p.index.n)
 		p.mu.RUnlock()
-		total.Add(m)
 	}
-	return total
+	return m
+}
+
+// Events returns how many events the table has applied: the sum of the
+// partitions' cursors, so it costs O(partitions).
+func (t *Table) Events() uint64 {
+	var n uint64
+	for _, p := range t.partitions() {
+		_, events := p.cursor()
+		n += events
+	}
+	return n
 }
 
 // EntrySnapshot is the serialized state of one (program, unit) entry. The

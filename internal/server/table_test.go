@@ -81,8 +81,8 @@ func TestTableMatchesInProcessController(t *testing.T) {
 		total.Misspec != st.Misspec || total.NotSpec != st.NotSpec {
 		t.Fatalf("table totals %+v, controller stats %+v", total, st)
 	}
-	if total.Entries == 0 || total.Transitions[core.Biased] == 0 {
-		t.Fatalf("expected resident entries and biased transitions, got %+v", total)
+	if total.Entries == 0 || total.Selections == 0 || total.Units[core.Biased] == 0 {
+		t.Fatalf("expected resident entries, selections and biased units, got %+v", total)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"reactivespec/internal/core"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -415,5 +417,129 @@ func assertNothingApplied(t *testing.T, s *Server, c *Client, program, walErrors
 	}
 	if got := metricSample(t, s.Registry(), "reactived_wal_append_errors_total"); got != walErrors {
 		t.Fatalf("reactived_wal_append_errors_total = %s, want %s", got, walErrors)
+	}
+}
+
+// tableLines returns the reactived_table_ sample lines of a registry's
+// exposition.
+func tableLines(t *testing.T, s *Server) []string {
+	t.Helper()
+	var buf strings.Builder
+	if err := s.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "reactived_table_") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestTableMetricsSurviveRestart pins the table families' lifetime: they
+// describe the table's state, not the serving session. A server that
+// snapshots mid-stream, ingests more, crashes and recovers reports the same
+// reactived_table_ lines and /healthz events as a server that never
+// restarted, and its /healthz events equal the sum of its /v1/cursor
+// events.
+func TestTableMetricsSurviveRestart(t *testing.T) {
+	ctx := context.Background()
+	env := newWALEnv(t)
+	l := env.openLog(t, wal.SyncAlways)
+	victim, vc := env.newServer(t, l)
+	control, cc := newTestServer(t, Config{})
+
+	type batch struct {
+		program string
+		kind    trace.Kind
+		stream  bool
+		n       int
+		seed    uint64
+	}
+	batches := []batch{
+		{"gzip", trace.KindBranch, false, 6000, 1},
+		{"vpr", trace.KindValue, false, 3000, 2},
+		{"gzip", trace.KindBranch, true, 4000, 3},
+		{"mcf", trace.KindBranch, false, 2000, 4},
+		{"vpr", trace.KindValue, true, 5000, 5},
+		{"gzip", trace.KindBranch, false, 3000, 6},
+	}
+	var keys []string
+	seen := map[string]bool{}
+	for i, b := range batches {
+		if i == len(batches)/2 {
+			if _, err := victim.SnapshotNow(); err != nil {
+				t.Fatalf("SnapshotNow: %v", err)
+			}
+		}
+		events := synthEvents(b.n, b.seed)
+		for _, c := range []*Client{vc, cc} {
+			if !b.stream {
+				if _, err := c.IngestKind(ctx, b.program, b.kind, events); err != nil {
+					t.Fatalf("IngestKind: %v", err)
+				}
+				continue
+			}
+			st, err := c.OpenStream(ctx, b.program)
+			if err != nil {
+				t.Fatalf("OpenStream: %v", err)
+			}
+			if err := st.SendKind(ctx, b.kind, events); err != nil {
+				t.Fatalf("SendKind: %v", err)
+			}
+			if _, err := st.Recv(ctx); err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+			st.Close()
+		}
+		if key := trace.EncodeKindProgram(b.kind, b.program); !seen[key] {
+			seen[key] = true
+			keys = append(keys, key)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("closing victim wal: %v", err)
+	}
+
+	l2 := env.openLog(t, wal.SyncAlways)
+	recovered, rc := env.newServer(t, l2)
+	res, err := recovered.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !res.SnapshotRestored || res.ReplayedRecords == 0 {
+		t.Fatalf("recovery %+v: want a snapshot plus a replayed WAL tail", res)
+	}
+
+	got, want := tableLines(t, recovered), tableLines(t, control)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered table families differ from the never-restarted server's:\n got %q\nwant %q", got, want)
+	}
+	if m := control.Table().Metrics(); m.Selections == 0 || m.Units[core.Biased] == 0 {
+		t.Fatalf("the stream pins nothing: %+v", m)
+	}
+
+	var cursors uint64
+	for _, key := range keys {
+		cur, err := rc.Cursor(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursors += cur.Events
+	}
+	hr, err := rc.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := cc.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.Events != hc.Events || hr.Events != cursors {
+		t.Fatalf("/healthz events: recovered %d, never restarted %d, sum of cursors %d", hr.Events, hc.Events, cursors)
+	}
+	if m := recovered.Table().Metrics(); m.Events != cursors {
+		t.Fatalf("table events %d, sum of cursors %d", m.Events, cursors)
 	}
 }

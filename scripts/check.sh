@@ -207,7 +207,11 @@ check_cursors "$SMOKE_DIR/load-stream-unix.json" bzip2 2
 # TestStreamHandshakeNegotiatesDown and TestStreamProto4WireByteExact, which
 # drive ServeStream over a real TCP listener in the go test steps above.
 
-# Graceful shutdown must drain and leave a final snapshot behind.
+# Graceful shutdown must drain and leave a final snapshot behind. The
+# table families are derived from the units, so they describe the state the
+# snapshot holds: scrape them first, and a daemon restarted on that snapshot
+# must report identical lines.
+curl -fsS "http://$ADDR/metrics" | grep '^reactived_table_' >"$SMOKE_DIR/table-before.txt"
 kill "$DAEMON_PID"
 wait "$DAEMON_PID"
 DAEMON_PID=""
@@ -220,6 +224,33 @@ if [ -e "$SMOKE_DIR/reactived.sock" ]; then
     echo "reactived shutdown left its unix stream socket behind" >&2
     exit 1
 fi
+
+echo "==> restart smoke (table families survive a snapshot restart)"
+"$SMOKE_DIR/reactived" \
+    -addr 127.0.0.1:0 \
+    -addr-file "$SMOKE_DIR/addr-restart" \
+    -snapshot-dir "$SMOKE_DIR/snaps" \
+    -snapshot-interval 0 >"$SMOKE_DIR/reactived-restart.log" 2>&1 &
+DAEMON_PID=$!
+i=0
+while [ ! -s "$SMOKE_DIR/addr-restart" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ] || ! kill -0 "$DAEMON_PID" 2>/dev/null; then
+        echo "restarted reactived never published its address" >&2
+        cat "$SMOKE_DIR/reactived-restart.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+curl -fsS "http://$(cat "$SMOKE_DIR/addr-restart")/metrics" | grep '^reactived_table_' >"$SMOKE_DIR/table-after.txt"
+if ! diff "$SMOKE_DIR/table-before.txt" "$SMOKE_DIR/table-after.txt" >&2; then
+    echo "reactived_table_ families changed across a snapshot restart" >&2
+    exit 1
+fi
+echo "table families: $(wc -l <"$SMOKE_DIR/table-after.txt") lines identical across the restart"
+kill "$DAEMON_PID"
+wait "$DAEMON_PID"
+DAEMON_PID=""
 
 # The traced smoke must have left parseable span files on both sides, and
 # the analyzer must see traced batches in them (client spans join the same
