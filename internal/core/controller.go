@@ -68,9 +68,14 @@ func (v Verdict) String() string {
 // Transition describes one classification change, delivered to the optional
 // transition hook. Instr is the global dynamic instruction count and Exec the
 // branch's execution index at the transition. Counter is the branch's
-// saturating eviction counter at the instant of the transition: the eviction
-// threshold on a squash-triggered demotion (biased→monitor), and typically
-// zero elsewhere.
+// saturating eviction counter at the instant of the transition, as Export
+// reports it. It is 0 under eviction by sampling, which keeps no counter, and
+// on entry to the biased state, where the counter restarts. Otherwise it is
+// EvictThreshold once the branch has been evicted and 0 before that: the
+// counter evicts on reaching EvictThreshold and keeps that value outside the
+// biased state, so the eviction (biased→monitor) and every later
+// monitor→unbiased, monitor→retired and unbiased→monitor transition report
+// EvictThreshold.
 type Transition struct {
 	Branch   trace.BranchID
 	From, To State
@@ -79,33 +84,33 @@ type Transition struct {
 	Counter  uint32
 }
 
-// branch is the reactive policy's per-branch state, one page entry of a
-// Controller. The window fields are bounded by the Table 2 periods that
-// Params.Validate caps at 2^32-1, so they are 32 bits wide: the classifier
-// state packs into 72 bytes, and with the unit's 24 bytes of lifetime
-// counters the whole entry into 96. It is the bulk of a serving table's
-// per-unit memory.
+// branch is the reactive policy's per-branch state, one 72-byte page entry
+// of a Controller and the bulk of a serving table's per-unit memory: the
+// 56-byte unit and four 32-bit window words. A branch is in one state at a
+// time, and each state keeps its own window (Figure 4b, Table 2), so the
+// words hold whichever counters the current state uses:
+//
+//	         Monitor   Biased                    Unbiased
+//	count    monSeen   counter, or cyclePos      waitLeft
+//	sampled  monExecs  smpExecs (sampling)       -
+//	taken    monTaken  -                         -
+//	wrong    smpWrong (sampling), in every state
+//
+// The windows are bounded by the Table 2 periods that Params.Validate caps
+// at 2^32-1, hence 32 bits. A field a state does not use is fixed, so Export
+// derives it (see Controller.export): the monitor window and WaitLeft are 0
+// outside their states; outside the biased state, a branch never evicted
+// has every biased-state field 0, and an evicted one keeps the values that
+// evicted it: Counter = EvictThreshold in counter mode, CyclePos = SmpExecs
+// = SampleLen in sampling mode, with SmpWrong kept in wrong. Evictions =
+// OptCount − [Biased] and EverBiased = OptCount > 0.
 type branch struct {
 	unit
 
-	// Monitor-state window, each bounded by MonitorPeriod.
-	monSeen  uint32 // executions elapsed in the current window
-	monExecs uint32 // sampled executions
-	monTaken uint32 // sampled taken outcomes
-
-	// Biased-state bookkeeping: the eviction-by-sampling cycle position
-	// (bounded by SamplePeriod) and the current sample (by SampleLen).
-	cyclePos uint32
-	smpExecs uint32
-	smpWrong uint32
-	counter  uint32 // biased-state eviction counter
-
-	// Unbiased-state bookkeeping, bounded by WaitPeriod.
-	waitLeft uint32
-
-	// Lifecycle statistics.
-	optCount  uint32
-	evictions uint32
+	count   uint32
+	sampled uint32
+	taken   uint32
+	wrong   uint32
 }
 
 // Controller is the reactive speculation controller. It tracks every static
@@ -239,23 +244,23 @@ func (c *Controller) observe(id trace.BranchID, b *branch, taken bool, gap, inst
 func (c *Controller) AddInstrs(n uint64) { c.instrs += n }
 
 func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	b.monSeen++
+	b.count++
 	rate := c.params.MonitorSampleRate
-	if rate < 2 || b.monSeen%rate == 0 {
-		b.monExecs++
+	if rate < 2 || b.count%rate == 0 {
+		b.sampled++
 		if taken {
-			b.monTaken++
+			b.taken++
 		}
 	}
-	if uint64(b.monSeen) < c.params.MonitorPeriod {
+	if uint64(b.count) < c.params.MonitorPeriod {
 		return
 	}
 	// Window complete: classify.
-	taken64, execs := uint64(b.monTaken), uint64(b.monExecs)
-	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
+	taken64, execs := uint64(b.taken), uint64(b.sampled)
+	b.count, b.sampled, b.taken = 0, 0, 0
 	if execs == 0 {
 		c.transition(id, b, Unbiased, instr)
-		b.waitLeft = uint32(c.params.WaitPeriod)
+		b.count = uint32(c.params.WaitPeriod)
 		return
 	}
 	majTaken := taken64*2 >= execs
@@ -270,18 +275,17 @@ func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr u
 			c.transition(id, b, Retired, instr)
 			return
 		}
+		// The counter or sampling cycle starts at 0 with the window
+		// words just cleared.
 		b.optCount++
 		b.direction = majTaken
-		b.counter = 0
-		b.cyclePos = 0
-		b.smpExecs, b.smpWrong = 0, 0
-		b.everBiased = true
+		b.wrong = 0
 		b.deploy(majTaken, instr+c.params.OptLatency)
 		c.transition(id, b, Biased, instr)
 		return
 	}
 	c.transition(id, b, Unbiased, instr)
-	b.waitLeft = uint32(c.params.WaitPeriod)
+	b.count = uint32(c.params.WaitPeriod)
 }
 
 func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr uint64) {
@@ -298,52 +302,58 @@ func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr ui
 		c.onBiasedSampling(id, b, taken, instr)
 		return
 	}
+	// count is the eviction counter.
 	if taken != b.direction {
-		next := b.counter + c.params.MisspecStep
+		next := b.count + c.params.MisspecStep
 		if next > c.params.EvictThreshold {
 			next = c.params.EvictThreshold
 		}
-		b.counter = next
-	} else if b.counter >= c.params.CorrectStep {
-		b.counter -= c.params.CorrectStep
+		b.count = next
+	} else if b.count >= c.params.CorrectStep {
+		b.count -= c.params.CorrectStep
 	} else {
-		b.counter = 0
+		b.count = 0
 	}
-	if b.counter >= c.params.EvictThreshold {
+	if b.count >= c.params.EvictThreshold {
 		c.evict(id, b, instr)
 	}
 }
 
+// onBiasedSampling runs the eviction-by-sampling cycle: count is the cycle
+// position, sampled and wrong the current sample's executions and
+// misspeculations.
 func (c *Controller) onBiasedSampling(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	if uint64(b.cyclePos) < c.params.SampleLen {
-		b.smpExecs++
+	if uint64(b.count) < c.params.SampleLen {
+		b.sampled++
 		if taken != b.direction {
-			b.smpWrong++
+			b.wrong++
 		}
 	}
-	b.cyclePos++
-	if uint64(b.cyclePos) == c.params.SampleLen {
+	b.count++
+	if uint64(b.count) == c.params.SampleLen {
 		// Sample complete: evaluate.
-		if b.smpExecs > 0 {
-			correct := float64(b.smpExecs-b.smpWrong) / float64(b.smpExecs)
+		if b.sampled > 0 {
+			correct := float64(b.sampled-b.wrong) / float64(b.sampled)
 			if correct < c.params.EvictBias {
 				c.evict(id, b, instr)
 				return
 			}
 		}
-		b.smpExecs, b.smpWrong = 0, 0
+		b.sampled, b.wrong = 0, 0
 	}
-	if uint64(b.cyclePos) >= c.params.SamplePeriod {
-		b.cyclePos = 0
+	if uint64(b.count) >= c.params.SamplePeriod {
+		b.count = 0
 	}
 }
 
+// evict demotes a biased branch to a fresh monitor window. The evicting
+// counter or sample position is dropped, since Export derives it; the
+// sample's misspeculations stay in wrong.
 func (c *Controller) evict(id trace.BranchID, b *branch, instr uint64) {
-	b.evictions++
 	// The stale speculative code remains deployed until the repaired
 	// fragment is ready; its outcomes keep being counted.
 	b.undeploy(instr + c.params.OptLatency)
-	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
+	b.count, b.sampled, b.taken = 0, 0, 0
 	c.transition(id, b, Monitor, instr)
 }
 
@@ -351,11 +361,11 @@ func (c *Controller) onUnbiased(id trace.BranchID, b *branch, instr uint64) {
 	if c.params.NoRevisit {
 		return
 	}
-	if b.waitLeft > 0 {
-		b.waitLeft--
+	// count is the wait left; reaching 0 leaves a fresh monitor window.
+	if b.count > 0 {
+		b.count--
 	}
-	if b.waitLeft == 0 {
-		b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
+	if b.count == 0 {
 		c.transition(id, b, Monitor, instr)
 	}
 }
@@ -364,8 +374,31 @@ func (c *Controller) transition(id trace.BranchID, b *branch, to State, instr ui
 	from := b.state
 	b.state = to
 	if c.OnTransition != nil {
-		c.OnTransition(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: b.execs, Counter: b.counter})
+		c.OnTransition(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: b.execs, Counter: c.counter(b)})
 	}
+}
+
+// counter derives the branch's eviction counter (see branch).
+func (c *Controller) counter(b *branch) uint32 {
+	switch {
+	case c.params.EvictBySampling:
+		return 0
+	case b.state == Biased:
+		return b.count
+	case b.optCount > 0:
+		return c.params.EvictThreshold
+	}
+	return 0
+}
+
+// evictions derives the branch's eviction count: every selection but a
+// current one has ended in an eviction, since eviction is the only way out
+// of the biased state.
+func (b *branch) evictions() uint32 {
+	if b.state == Biased && b.optCount > 0 {
+		return b.optCount - 1
+	}
+	return b.optCount
 }
 
 // Stats returns the aggregate counters so far: every branch's lifetime
@@ -409,10 +442,10 @@ func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired i
 			return
 		}
 		touched++
-		if b.everBiased {
+		if b.optCount > 0 {
 			everBiased++
 		}
-		if b.evictions > 0 {
+		if b.evictions() > 0 {
 			everEvicted++
 		}
 		if b.state == Retired {
@@ -425,7 +458,7 @@ func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired i
 // Evictions returns how many times the branch has been evicted.
 func (c *Controller) Evictions(id trace.BranchID) uint32 {
 	if b := c.branches.Get(uint32(id)); b != nil {
-		return b.evictions
+		return b.evictions()
 	}
 	return 0
 }

@@ -46,8 +46,10 @@ type Engine interface {
 	Export(id trace.BranchID) (BranchState, Stats, bool)
 	// Import overwrites the unit's state and lifetime counters. It refuses,
 	// with a *StateError and without touching the unit, state the policy
-	// cannot hold exactly: a field it does not keep, a window field wider
-	// than 32 bits, or counters that contradict the state.
+	// cannot hold exactly: a field it does not keep, a field it derives
+	// from the rest of the state whose value differs from the derivation,
+	// a window field wider than 32 bits, or counters that contradict the
+	// state.
 	Import(id trace.BranchID, st BranchState, s Stats) error
 }
 
@@ -74,8 +76,8 @@ func NewEngine(name string, params Params) (Engine, error) {
 // counters its state does not determine. A unit's remaining counters —
 // NotSpec, Selections, Evictions, Retirals — are derived from its state when
 // it is exported (unit.stats), so they cost no bytes in the pages. The
-// fields sit flat, widest first, so the unit packs into 56 bytes and each
-// policy's page entry embeds it as its first field.
+// fields sit flat, widest first, so the unit packs into 56 bytes with no
+// padding, and each policy's page entry embeds it as its first field.
 type unit struct {
 	// The deployment lifecycle of the speculative code generated for the
 	// unit, independent of its classification state: selections become
@@ -90,11 +92,14 @@ type unit struct {
 	correct uint64
 	misspec uint64
 
-	liveDir    bool
-	nextDir    bool
-	state      State
-	direction  bool // the direction selected on entering the biased state
-	everBiased bool
+	// optCount counts entries into the biased state (Stats.Selections):
+	// a unit has ever been biased exactly when it is non-zero.
+	optCount uint32
+
+	liveDir   bool
+	nextDir   bool
+	state     State
+	direction bool // the direction selected on entering the biased state
 }
 
 // tick advances the deployment to instant instr.
@@ -156,28 +161,30 @@ func (u *unit) score(outcome bool, gap, instr uint64) Verdict {
 // engine already behaves identically for it.
 func (u *unit) untouched() bool { return u.execs == 0 && u.state == Monitor }
 
-// exportTo fills the fields of st that unit holds.
+// exportTo fills the fields of st that unit holds, EverBiased derived from
+// the selection count. OptCount is the policy's to export: not every
+// policy's snapshot entries carry it.
 func (u *unit) exportTo(st *BranchState) {
 	st.State = u.state
 	st.LiveDir, st.LiveUntil = u.liveDir, u.liveUntil
 	st.NextDir, st.NextAt = u.nextDir, u.nextAt
 	st.Direction = u.direction
 	st.Execs = u.execs
-	st.EverBiased = u.everBiased
+	st.EverBiased = u.optCount > 0
 }
 
 // stats derives the unit's lifetime counters. Every event counts one exec
 // and exactly one verdict, so Events = Execs and NotSpec = Execs − Correct −
-// Misspec; selections and evictions are the policy's own per-unit counts,
-// and the retired state is terminal and entered once.
-func (u *unit) stats(selections, evictions uint64) Stats {
+// Misspec; Selections is the selection count, evictions the policy's own
+// per-unit count, and the retired state is terminal and entered once.
+func (u *unit) stats(evictions uint64) Stats {
 	s := Stats{
 		Events:     u.execs,
 		Instrs:     u.instrs,
 		Correct:    u.correct,
 		Misspec:    u.misspec,
 		NotSpec:    u.execs - u.correct - u.misspec,
-		Selections: selections,
+		Selections: uint64(u.optCount),
 		Evictions:  evictions,
 	}
 	if u.state == Retired {
@@ -196,8 +203,9 @@ func sumStats[T any](pages *Pages[T], instrs uint64, counters func(*T) Stats) St
 
 // restore loads the fields unit holds from st and s after checking that s
 // is exactly what stats would derive from st. selections and evictions are
-// the policy's per-unit counts as st records them.
-func (u *unit) restore(st BranchState, s Stats, selections, evictions uint64) error {
+// the policy's per-unit counts as st records them; restore holds selections
+// as the unit's optCount.
+func (u *unit) restore(st BranchState, s Stats, selections uint32, evictions uint64) error {
 	if st.State > Retired {
 		return &StateError{Field: "State", Reason: fmt.Sprintf("unknown state %d", uint8(st.State))}
 	}
@@ -213,25 +221,25 @@ func (u *unit) restore(st BranchState, s Stats, selections, evictions uint64) er
 			"%d correct + %d misspeculated exceed %d executions", s.Correct, s.Misspec, st.Execs)}
 	case s.NotSpec != st.Execs-s.Correct-s.Misspec:
 		return counterError("NotSpec", s.NotSpec, st.Execs-s.Correct-s.Misspec)
-	case s.Selections != selections:
-		return counterError("Selections", s.Selections, selections)
+	case s.Selections != uint64(selections):
+		return counterError("Selections", s.Selections, uint64(selections))
 	case s.Evictions != evictions:
 		return counterError("Evictions", s.Evictions, evictions)
 	case s.Retirals != retirals:
 		return counterError("Retirals", s.Retirals, retirals)
 	}
 	*u = unit{
-		liveUntil:  st.LiveUntil,
-		nextAt:     st.NextAt,
-		execs:      st.Execs,
-		instrs:     s.Instrs,
-		correct:    s.Correct,
-		misspec:    s.Misspec,
-		liveDir:    st.LiveDir,
-		nextDir:    st.NextDir,
-		state:      st.State,
-		direction:  st.Direction,
-		everBiased: st.EverBiased,
+		liveUntil: st.LiveUntil,
+		nextAt:    st.NextAt,
+		execs:     st.Execs,
+		instrs:    s.Instrs,
+		correct:   s.Correct,
+		misspec:   s.Misspec,
+		optCount:  selections,
+		liveDir:   st.LiveDir,
+		nextDir:   st.NextDir,
+		state:     st.State,
+		direction: st.Direction,
 	}
 	return nil
 }
@@ -254,7 +262,8 @@ func counterError(name string, got, want uint64) error {
 
 // exact checks that a unit imported from want exports as got, naming the
 // first field it could not hold: one wider than the policy's 32-bit window
-// fields, or one the policy does not keep at all.
+// fields, one the policy does not keep at all, or one it derives from the
+// rest of the state as another value.
 func exact(policy string, got, want BranchState) error {
 	if got == want {
 		return nil
@@ -264,7 +273,7 @@ func exact(policy string, got, want BranchState) error {
 		if gv.Field(i).Equal(wv.Field(i)) {
 			continue
 		}
-		reason := fmt.Sprintf("the %s policy does not keep %v", policy, wv.Field(i))
+		reason := fmt.Sprintf("the %s policy holds %v here, not %v", policy, gv.Field(i), wv.Field(i))
 		if w := wv.Field(i); w.Kind() == reflect.Uint64 && w.Uint() > math.MaxUint32 {
 			reason = fmt.Sprintf("%d exceeds 2^32-1", w.Uint())
 		}

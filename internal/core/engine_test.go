@@ -58,8 +58,11 @@ func TestParamsValidateBoundsPeriods(t *testing.T) {
 }
 
 // TestUnitSizes pins each policy's page entry: the state and the 24 bytes
-// of lifetime counters no state determines. A wider window field or a
-// stored copy of a derivable counter shows up here first.
+// of lifetime counters no state determines. A wider window field, a window
+// the reactive branch keeps beside another state's instead of sharing its
+// words, or a stored copy of a derivable field shows up here first. 72
+// bytes is a size class's exact divisor: a 256-unit page is 18,432 B, a
+// Go size class, so a reactive or probweight page wastes nothing.
 func TestUnitSizes(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -67,9 +70,9 @@ func TestUnitSizes(t *testing.T) {
 		want uintptr
 	}{
 		{"unit", unsafe.Sizeof(unit{}), 56},
-		{"reactive branch", unsafe.Sizeof(branch{}), 96},
+		{"reactive branch", unsafe.Sizeof(branch{}), 72},
 		{"selftrain unit", unsafe.Sizeof(selfTrainUnit{}), 64},
-		{"probweight unit", unsafe.Sizeof(probWeightUnit{}), 80},
+		{"probweight unit", unsafe.Sizeof(probWeightUnit{}), 72},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d bytes, want %d", c.name, c.got, c.want)

@@ -31,14 +31,12 @@ type probWeightEngine struct {
 	instrs uint64 // accounted by AddInstrs, outside every unit
 }
 
-// probWeightUnit is one unit's state: 80 bytes, counters included.
+// probWeightUnit is one unit's state: 72 bytes, counters included.
 type probWeightUnit struct {
 	unit
 
-	est  estimate
-	warm uint32 // events consumed of the warmup window (≤ MonitorPeriod)
-
-	optCount  uint32
+	est       estimate
+	warm      uint32 // events consumed of the warmup window (≤ MonitorPeriod)
 	evictions uint32
 }
 
@@ -100,7 +98,6 @@ func (e *probWeightEngine) Step(id trace.BranchID, outcome bool, gap, instr uint
 			}
 			u.optCount++
 			u.direction = dir
-			u.everBiased = true
 			u.deploy(dir, instr+e.params.OptLatency)
 			u.state = Biased
 		}
@@ -143,7 +140,7 @@ func (e *probWeightEngine) Export(id trace.BranchID) (BranchState, Stats, bool) 
 }
 
 // counters derives the unit's lifetime counters.
-func (u *probWeightUnit) counters() Stats { return u.stats(uint64(u.optCount), uint64(u.evictions)) }
+func (u *probWeightUnit) counters() Stats { return u.stats(uint64(u.evictions)) }
 
 func (u *probWeightUnit) export() BranchState {
 	st := BranchState{
@@ -158,11 +155,10 @@ func (u *probWeightUnit) export() BranchState {
 
 func (e *probWeightEngine) Import(id trace.BranchID, st BranchState, s Stats) error {
 	var u probWeightUnit
-	if err := u.restore(st, s, uint64(st.OptCount), uint64(st.Evictions)); err != nil {
+	if err := u.restore(st, s, st.OptCount, uint64(st.Evictions)); err != nil {
 		return err
 	}
 	u.warm = uint32(st.MonSeen)
-	u.optCount = st.OptCount
 	u.evictions = st.Evictions
 	u.est = newEstimate(st.ProbEst)
 	if err := exact(PolicyProbWeight, u.export(), st); err != nil {

@@ -57,8 +57,8 @@ func (e *selfTrainEngine) classify(u *selfTrainUnit, instr uint64) {
 		maj = seen - taken
 	}
 	if float64(maj) >= e.params.SelectThreshold*float64(seen) {
+		u.optCount = 1
 		u.direction = majTaken
-		u.everBiased = true
 		u.deploy(majTaken, instr+e.params.OptLatency)
 		u.state = Biased
 		return
@@ -80,7 +80,7 @@ func (e *selfTrainEngine) Stats() Stats {
 
 // selections is a unit's selection count. The policy selects at most once
 // and its snapshot entries never carried OptCount, so EverBiased records it.
-func selections(everBiased bool) uint64 {
+func selections(everBiased bool) uint32 {
 	if everBiased {
 		return 1
 	}
@@ -96,7 +96,7 @@ func (e *selfTrainEngine) Export(id trace.BranchID) (BranchState, Stats, bool) {
 }
 
 // counters derives the unit's lifetime counters.
-func (u *selfTrainUnit) counters() Stats { return u.stats(selections(u.everBiased), 0) }
+func (u *selfTrainUnit) counters() Stats { return u.stats(0) }
 
 func (u *selfTrainUnit) export() BranchState {
 	st := BranchState{

@@ -58,24 +58,31 @@ func (c *Controller) Export(id trace.BranchID) (BranchState, Stats, bool) {
 	if b == nil || b.untouched() {
 		return BranchState{}, Stats{}, false
 	}
-	return b.export(), b.counters(), true
+	return c.export(b), b.counters(), true
 }
 
 // counters derives the branch's lifetime counters.
-func (b *branch) counters() Stats { return b.stats(uint64(b.optCount), uint64(b.evictions)) }
+func (b *branch) counters() Stats { return b.stats(uint64(b.evictions())) }
 
-func (b *branch) export() BranchState {
-	st := BranchState{
-		MonSeen:   uint64(b.monSeen),
-		MonExecs:  uint64(b.monExecs),
-		MonTaken:  uint64(b.monTaken),
-		Counter:   b.counter,
-		CyclePos:  uint64(b.cyclePos),
-		SmpExecs:  uint64(b.smpExecs),
-		SmpWrong:  uint64(b.smpWrong),
-		WaitLeft:  uint64(b.waitLeft),
-		OptCount:  b.optCount,
-		Evictions: b.evictions,
+// export unpacks the branch's window words by its state and derives the
+// fields no state keeps (see branch).
+func (c *Controller) export(b *branch) BranchState {
+	p := &c.params
+	st := BranchState{Counter: c.counter(b), OptCount: b.optCount, Evictions: b.evictions()}
+	switch b.state {
+	case Monitor:
+		st.MonSeen, st.MonExecs, st.MonTaken = uint64(b.count), uint64(b.sampled), uint64(b.taken)
+	case Unbiased:
+		st.WaitLeft = uint64(b.count)
+	}
+	if p.EvictBySampling {
+		switch {
+		case b.state == Biased:
+			st.CyclePos, st.SmpExecs = uint64(b.count), uint64(b.sampled)
+		case b.optCount > 0:
+			st.CyclePos, st.SmpExecs = p.SampleLen, p.SampleLen
+		}
+		st.SmpWrong = uint64(b.wrong)
 	}
 	b.exportTo(&st)
 	return st
@@ -83,21 +90,33 @@ func (b *branch) export() BranchState {
 
 // Import overwrites the branch's state and lifetime counters with a
 // previously exported snapshot, or refuses with a *StateError what a branch
-// cannot hold exactly (see Engine.Import). The controller's aggregate Stats
+// cannot hold exactly (see Engine.Import): besides a window field wider
+// than 32 bits or a field the policy does not keep, any field the branch
+// derives must hold its derived value. The controller's aggregate Stats
 // follow, since they are the sum over its branches.
 func (c *Controller) Import(id trace.BranchID, st BranchState, s Stats) error {
 	var b branch
-	if err := b.restore(st, s, uint64(st.OptCount), uint64(st.Evictions)); err != nil {
+	if err := b.restore(st, s, st.OptCount, uint64(st.Evictions)); err != nil {
 		return err
 	}
-	b.monSeen, b.monExecs, b.monTaken = uint32(st.MonSeen), uint32(st.MonExecs), uint32(st.MonTaken)
-	b.counter = st.Counter
-	b.cyclePos = uint32(st.CyclePos)
-	b.smpExecs, b.smpWrong = uint32(st.SmpExecs), uint32(st.SmpWrong)
-	b.waitLeft = uint32(st.WaitLeft)
-	b.optCount = st.OptCount
-	b.evictions = st.Evictions
-	if err := exact(PolicyReactive, b.export(), st); err != nil {
+	if st.State == Biased && st.OptCount == 0 {
+		return &StateError{Field: "OptCount", Reason: "a biased branch has been selected at least once"}
+	}
+	switch st.State {
+	case Monitor:
+		b.count, b.sampled, b.taken = uint32(st.MonSeen), uint32(st.MonExecs), uint32(st.MonTaken)
+	case Biased:
+		b.count = st.Counter
+		if c.params.EvictBySampling {
+			b.count, b.sampled = uint32(st.CyclePos), uint32(st.SmpExecs)
+		}
+	case Unbiased:
+		b.count = uint32(st.WaitLeft)
+	}
+	if c.params.EvictBySampling {
+		b.wrong = uint32(st.SmpWrong)
+	}
+	if err := exact(PolicyReactive, c.export(&b), st); err != nil {
 		return err
 	}
 	*c.branchFor(id) = b

@@ -95,19 +95,28 @@ func continuation(t *testing.T, c *Client) []byte {
 
 // TestRestoreRefusesInexactState hand-builds snapshots that break one
 // restore invariant each — a window field wider than 32 bits, a field the
-// policy does not keep, or lifetime counters that contradict the unit's
-// state — and requires Server.Recover to fail with the engine's
-// *core.StateError naming that field, instead of truncating or re-deriving.
+// policy does not keep, lifetime counters that contradict the unit's state,
+// or a field the reactive branch derives from its state that differs from
+// the derived value — and requires Server.Recover to fail with the
+// engine's *core.StateError naming that field, instead of truncating or
+// re-deriving.
 func TestRestoreRefusesInexactState(t *testing.T) {
 	// A consistent reactive unit: 40 executions, biased twice, evicted
-	// once; its counters are exactly the ones the engine derives.
+	// once; its counters are exactly the ones the engine derives, and it
+	// holds only the biased state's eviction counter.
 	base := core.BranchState{
 		State: core.Biased, LiveDir: true, LiveUntil: math.MaxUint64,
-		MonSeen: 3, MonExecs: 3, MonTaken: 2, Direction: true, Counter: 7,
-		CyclePos: 4, SmpExecs: 2, SmpWrong: 1, WaitLeft: 5,
+		Direction: true, Counter: 7,
 		Execs: 40, OptCount: 2, Evictions: 1, EverBiased: true,
 	}
 	baseStats := core.Stats{Events: 40, Instrs: 400, Correct: 20, Misspec: 5, NotSpec: 15, Selections: 2, Evictions: 1}
+	// toMonitor turns base into the same unit consistently in a monitor
+	// window: evicted twice, so its stale counter is the threshold.
+	toMonitor := func(st *core.BranchState, s *core.Stats) {
+		st.State, st.MonSeen, st.MonExecs, st.MonTaken = core.Monitor, 3, 3, 2
+		st.Counter = testParams().EvictThreshold
+		st.Evictions, s.Evictions = 2, 2
+	}
 
 	cases := []struct {
 		name   string
@@ -116,11 +125,32 @@ func TestRestoreRefusesInexactState(t *testing.T) {
 		edit   func(st *core.BranchState, s *core.Stats)
 	}{
 		{"window wider than 32 bits", core.PolicyReactive, "MonSeen",
-			func(st *core.BranchState, _ *core.Stats) { st.MonSeen = 1 << 32 }},
+			func(st *core.BranchState, s *core.Stats) { toMonitor(st, s); st.MonSeen = 1 << 32 }},
 		{"wait wider than 32 bits", core.PolicyReactive, "WaitLeft",
-			func(st *core.BranchState, _ *core.Stats) { st.WaitLeft = math.MaxUint32 + 7 }},
+			func(st *core.BranchState, s *core.Stats) {
+				toMonitor(st, s)
+				st.State, st.MonSeen, st.MonExecs, st.MonTaken = core.Unbiased, 0, 0, 0
+				st.WaitLeft = math.MaxUint32 + 7
+			}},
 		{"field the policy does not keep", core.PolicyReactive, "ProbEst",
 			func(st *core.BranchState, _ *core.Stats) { st.ProbEst = 0.75 }},
+		{"monitor window outside monitor", core.PolicyReactive, "MonTaken",
+			func(st *core.BranchState, _ *core.Stats) { st.MonTaken = 2 }},
+		{"wait outside unbiased", core.PolicyReactive, "WaitLeft",
+			func(st *core.BranchState, s *core.Stats) { toMonitor(st, s); st.WaitLeft = 5 }},
+		{"sampling fields in counter mode", core.PolicyReactive, "SmpWrong",
+			func(st *core.BranchState, _ *core.Stats) { st.SmpWrong = 1 }},
+		{"stale counter differs from the threshold", core.PolicyReactive, "Counter",
+			func(st *core.BranchState, s *core.Stats) { toMonitor(st, s); st.Counter = 7 }},
+		{"evictions differ from optimizations less the biased one", core.PolicyReactive, "Evictions",
+			func(st *core.BranchState, s *core.Stats) { st.Evictions, s.Evictions = 2, 2 }},
+		{"EverBiased differs from a nonzero OptCount", core.PolicyReactive, "EverBiased",
+			func(st *core.BranchState, _ *core.Stats) { st.EverBiased = false }},
+		{"biased without a selection", core.PolicyReactive, "OptCount",
+			func(st *core.BranchState, s *core.Stats) {
+				st.OptCount, st.Evictions, st.EverBiased = 0, 0, false
+				s.Selections, s.Evictions = 0, 0
+			}},
 		{"events differ from execs", core.PolicyReactive, "Stats.Events",
 			func(_ *core.BranchState, s *core.Stats) { s.Events++ }},
 		{"correct plus misspec exceed execs", core.PolicyReactive, "Stats.Correct",

@@ -25,6 +25,20 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# Every event goes through the slot index's window probe, the page lookup
+# and the unit's scoring (with its deployment tick and live check). Each
+# must stay within the compiler's inlining budget: one more call or branch
+# in any of them turns it into a call per event, which no test sees.
+echo "==> inlining guard (go build -gcflags=-m ./internal/server ./internal/core)"
+INLINED=$(go build -gcflags=-m ./internal/server ./internal/core 2>&1)
+for fn in '(*slotIndex).window' '(*Pages[reactivespec/internal/core.branch]).Get' \
+    '(*unit).score' '(*unit).tick' '(*unit).live'; do
+    if ! printf '%s\n' "$INLINED" | grep -qF "can inline $fn"; then
+        echo "inlining guard: the compiler no longer inlines $fn" >&2
+        exit 1
+    fi
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
